@@ -238,6 +238,8 @@ def _validate(config: ExperimentConfig, n: int):
     grid = tuple(int(m) for m in config.m_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("m_grid must be strictly increasing")
+    if grid[0] < 1:
+        raise InputError("m_grid values must be >= 1")
     if grid[-1] > n:
         raise InputError(f"largest m {grid[-1]} exceeds dataset size {n}")
     if config.trials < 1:
@@ -266,6 +268,8 @@ def build_rule(
     f_means: np.ndarray | None = None,
 ) -> QuadratureRule:
     """One rule for the given method; phase wall times recorded on the rule."""
+    if m < 1:
+        raise InputError(f"m must be >= 1, got {m}")
     base = _method_base(method)
     n = points.shape[0]
     t0 = time.perf_counter()
@@ -300,6 +304,13 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         points = points[:, None]
     n = points.shape[0]
     _validate(config, n)
+    workers = max(1, int(config.workers))
+    env_cap = os.environ.get("KQUAD_THREADS")
+    if env_cap:
+        try:
+            workers = min(workers, max(1, int(env_cap)))
+        except ValueError:
+            raise InputError(f"KQUAD_THREADS must be an integer, got {env_cap!r}") from None
 
     kernel = parse_kernel(
         config.kernel,
@@ -345,10 +356,6 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
             else:
                 tasks.extend((method, int(m), t) for t in range(config.trials))
 
-    workers = max(1, int(config.workers))
-    env_cap = os.environ.get("KQUAD_THREADS")
-    if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
     if workers == 1:
         chunks = [run_cell(*task) for task in tasks]
     else:

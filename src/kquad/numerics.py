@@ -1,8 +1,13 @@
-"""Dense symmetric linear algebra: eigendecomposition and stabilized pseudo-inverse.
+"""Dense symmetric linear algebra: eigendecomposition and a rank-revealing
+pseudo-inverse solve.
 
-Everything here assumes matrices of at most a few thousand rows, for which a
-full eigendecomposition is cheap and the most robust route to a truncated
-Moore-Penrose pseudo-inverse.
+``eig_sym`` gives the full spectrum, which the exact leverage scores and the
+spectral module need.  ``pinv_apply`` needs only a solve, so it factors with
+LAPACK's pivoted Cholesky (``dpstrf``, about m^3/3 flops; several times
+faster than a full eigendecomposition at m in the thousands).  The
+factorization picks pivots greedily by largest residual diagonal and stops
+when that residual falls to the level of float64 rounding, which reveals the
+numerical rank.
 """
 
 from __future__ import annotations
@@ -10,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dpstrf
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -35,14 +42,25 @@ def eig_sym(A) -> SymmetricEigen:
 
 
 def default_pinv_tol(size: int) -> float:
-    """Relative eigenvalue cutoff used by pinv_apply, scaled with matrix size."""
-    return 1e-10 * size
+    """Relative pivot cutoff of pinv_apply: size * float64 eps.
+
+    This is LAPACK's own default for ``dpstrf``: a residual diagonal at or
+    below ``size * eps * max diag(A)`` is indistinguishable from the rounding
+    left by the ``size`` elimination steps before it.
+    """
+    return size * float(np.finfo(np.float64).eps)
 
 
 def pinv_apply(A, b, rel_tol: float | None = None) -> np.ndarray:
     """Minimum-norm solution A^+ b for symmetric PSD A.
 
-    Eigenvalues below ``rel_tol * lambda_max`` are truncated.  An all-zero A
+    A (symmetrized) is factored as P^T A P = F F^T by pivoted Cholesky, which
+    stops once the largest residual diagonal is at most
+    ``rel_tol * max diag(A)``; the number of steps taken is the numerical
+    rank r.  At full rank the solve is two triangular solves.  Below full
+    rank the m x r factor F goes through a thin QR, F = Q R, and the result
+    is Q (R R^T)^-1 Q^T b: the minimum-norm solution of the truncated
+    system, so weight on duplicate rows is split evenly.  An all-zero A
     yields the zero vector (minimum-norm convention), not an error.
     """
     M = np.asarray(A, dtype=np.float64)
@@ -55,10 +73,26 @@ def pinv_apply(A, b, rel_tol: float | None = None) -> np.ndarray:
         rel_tol = default_pinv_tol(M.shape[0])
     if not 0.0 < rel_tol < 1.0:
         raise InputError("rel_tol must lie in (0, 1)")
-    eig = eig_sym(M)
-    lam_max = max(float(eig.values[0]), 0.0)
-    keep = eig.values > rel_tol * lam_max
-    if lam_max == 0.0 or not keep.any():
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+        raise InputError("matrix or right-hand side contains non-finite entries")
+    S = 0.5 * (M + M.T)
+    diag_max = float(np.max(np.diag(S)))
+    if diag_max <= 0.0:
         return np.zeros_like(rhs)
-    V = eig.vectors[:, keep]
-    return V @ ((V.T @ rhs) / eig.values[keep])
+    # S is a fresh symmetric array, so its transpose is a Fortran-ordered
+    # view that LAPACK can factor in place without another copy.
+    c, piv, rank, info = dpstrf(S.T, tol=rel_tol * diag_max, lower=1, overwrite_a=1)
+    if info < 0:
+        raise NumericalError(f"dpstrf rejected argument {-info}")
+    perm = piv - 1
+    y = rhs[perm]
+    out = np.empty_like(rhs)
+    if rank == M.shape[0]:
+        L = np.tril(c)
+        z = solve_triangular(L, y, lower=True, check_finite=False)
+        out[perm] = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+        return out
+    Q, R = qr(np.tril(c[:, :rank]), mode="economic", check_finite=False)
+    t = solve_triangular(R, Q.T @ y, lower=False, check_finite=False)
+    out[perm] = Q @ solve_triangular(R, t, lower=False, trans="T", check_finite=False)
+    return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class QuadratureRule:
     indices: np.ndarray | None = None  # source indices when subsampled
     sample_time_s: float | None = None
     weight_time_s: float | None = None
+    # Set by optimal_weights so that worst_case_error can reuse v and K_m.
+    _solve: _SolveTerms | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -53,6 +55,17 @@ class QuadratureRule:
 
     def __len__(self):
         return self.weights.shape[0]
+
+
+@dataclass(frozen=True)
+class _SolveTerms:
+    """Moments v and node Gram K_m of one weight solve, with what they depend on."""
+
+    kernel: KernelSpec
+    target: TargetMeasure
+    nodes: np.ndarray
+    moments: np.ndarray
+    gram: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,9 +157,12 @@ def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
 def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> QuadratureRule:
     """Least-squares optimal rule on the given nodes: w = K_m^+ v.
 
-    The pseudo-inverse keeps w in the row space of K_m (minimum-norm
-    solution); duplicate nodes are handled by the truncated spectrum rather
-    than deduplication.
+    The solve is ``numerics.pinv_apply``, a pivoted Cholesky of K_m that
+    stops at the numerical rank.  The weights are the minimum-norm solution,
+    so they live in the row space of K_m and duplicate nodes share their
+    weight evenly rather than being deduplicated.  The rule keeps v and K_m,
+    which ``worst_case_error`` reuses when called with the same kernel and
+    target.
     """
     N = np.asarray(nodes, dtype=np.float64)
     if N.ndim == 1:
@@ -155,7 +171,9 @@ def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> Quadrat
         raise InputError("need at least one node")
     v = target_moments(kernel, N, target)
     Km = gram(kernel, N)
-    return QuadratureRule(nodes=N, weights=pinv_apply(Km, v))
+    rule = QuadratureRule(nodes=N, weights=pinv_apply(Km, v))
+    rule._solve = _SolveTerms(kernel, target, rule.nodes, v, Km)
+    return rule
 
 
 def integrate(rule: QuadratureRule, f_at_nodes) -> float:
@@ -175,12 +193,24 @@ def worst_case_error(
     """Exact worst-case integration error over the RKHS unit ball.
 
     ``self_product`` lets callers reuse the target's double integral, which
-    is the only Theta(n^2) piece.  Small negative squared errors (above
+    is the only Theta(n^2) piece.  The moments v and node Gram K_m are taken
+    from the weight solve when the rule came from ``optimal_weights`` with
+    this kernel and target; they are the same arrays a fresh evaluation
+    computes, so the error is too.  Small negative squared errors (above
     -1e-8) from cancellation are clamped to zero; anything lower raises.
     """
     T = target_self_product(kernel, target) if self_product is None else float(self_product)
-    v = target_moments(kernel, rule.nodes, target)
-    Km = gram(kernel, rule.nodes)
+    solve = rule._solve
+    if (
+        solve is not None
+        and solve.kernel == kernel
+        and solve.target is target
+        and solve.nodes is rule.nodes
+    ):
+        v, Km = solve.moments, solve.gram
+    else:
+        v = target_moments(kernel, rule.nodes, target)
+        Km = gram(kernel, rule.nodes)
     w = rule.weights
     e2 = math.fsum([T, -2.0 * float(w @ v), float(w @ (Km @ w))])
     if e2 < -1e-8:

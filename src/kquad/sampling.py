@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, gram, sup_norm_bound
@@ -133,7 +133,7 @@ def approx_rls_pilot(
     Draws ``pilot_size`` indices uniformly without replacement (or uses
     ``pilot_indices`` when given), maps every point to the whitened pilot
     feature b_i = L^(-1) k_p(x_i) with K_p = L L^T, and scores
-    b_i^T (B^T B + lambda n I)^(-1) b_i.  Cost O(n p^2 + p^3).
+    b_i^T (B B^T + lambda n I)^(-1) b_i.  Cost O(n p^2 + p^3).
     """
     P = np.asarray(X, dtype=np.float64)
     if P.ndim == 1:
@@ -151,8 +151,9 @@ def approx_rls_pilot(
     B = solve_triangular(L, Kpn, lower=True)  # columns are the b_i
     G = B @ B.T
     G[np.diag_indices_from(G)] += lam * n
-    factor = cho_factor(G, lower=True)
-    values = np.einsum("ij,ij->j", B, cho_solve(factor, B))
+    # b^T G^-1 b = |C^-1 b|^2 with G = C C^T: one triangular solve per column.
+    Z = solve_triangular(np.linalg.cholesky(G), B, lower=True)
+    values = np.einsum("ij,ij->j", Z, Z)
     return LeverageScores(lam=lam, values=values, mode="pilot", pilot_size=len(pilot_indices))
 
 

@@ -41,3 +41,23 @@ def projected_gram(K, selected):
     Ks = K[np.ix_(sel, sel)]
     Kxs = K[:, sel]
     return Kxs @ np.linalg.solve(Ks, Kxs.T)
+
+
+def gaussian_wce_sq_longdouble(sigma, nodes, weights, points, masses, chunk=256):
+    """Squared worst-case error of a Gaussian-kernel rule, all in np.longdouble.
+
+    Evaluates E^2 = c^T K c over the union of target points and rule nodes,
+    with c = (masses, -weights), recomputing every kernel value from the
+    formula exp(-|x - y|^2 / (2 sigma^2)) in extended precision.  Only the
+    inputs (points, masses, the rule's float64 nodes and weights) are shared
+    with the library.
+    """
+    ld = np.longdouble
+    Z = np.vstack([np.atleast_2d(points.T).T, np.atleast_2d(nodes.T).T]).astype(ld)
+    c = np.concatenate([np.ravel(masses), -np.ravel(weights)]).astype(ld)
+    scale = ld(2) * ld(sigma) ** 2
+    total = ld(0)
+    for i0 in range(0, Z.shape[0], chunk):
+        d2 = ((Z[i0 : i0 + chunk, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+        total += c[i0 : i0 + chunk] @ (np.exp(-d2 / scale) @ c)
+    return total

@@ -143,3 +143,51 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli.bench, "parse_config", boom)
     assert cli.main(["run", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_compress_nonpositive_m_exit_code(data_csv, tmp_path, capsys, m):
+    path, _ = data_csv
+    code = cli.main(
+        [
+            "compress",
+            "--input", str(path),
+            "--kernel", "gaussian:sigma=1",
+            "--method", "monte-carlo",
+            "--m", m,
+            "--seed", "0",
+            "--output", str(tmp_path / "r.csv"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def write_run_config(tmp_path, **extra):
+    cfg = tmp_path / "exp.cfg"
+    lines = {
+        "dataset": "uniform_cube:d=1",
+        "kernel": "sobolev:s=1,d=1",
+        "methods": "uniform",
+        "m_grid": "8, 16",
+        "trials": "2",
+        "master_seed": "2",
+        "n": "64",
+        "target": "unit-cube",
+        "output": str(tmp_path / "res.csv"),
+    }
+    lines.update(extra)
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
+    return cfg
+
+
+def test_run_zero_in_m_grid_exit_code(tmp_path, capsys):
+    cfg = write_run_config(tmp_path, methods="monte-carlo", m_grid="0, 8")
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_bad_thread_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KQUAD_THREADS", "abc")
+    assert cli.main(["run", str(write_run_config(tmp_path, workers="2"))]) == 1
+    assert "KQUAD_THREADS" in capsys.readouterr().err

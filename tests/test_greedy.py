@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kquad import InputError
+from kquad.bench import gen_synthetic
 from kquad.greedy import greedy_quadrature, greedy_select, power_function_bruteforce
 from kquad.kernels import gaussian, gram, periodic_sobolev
 from kquad.quadrature import TargetMeasure, optimal_weights, target_self_product, worst_case_error
@@ -171,6 +172,20 @@ def test_fp_residual_norm_nonincreasing():
     norm2 = target_self_product(kern, target) - np.cumsum(state.f_coeffs**2)
     assert np.all(np.diff(norm2) <= 1e-12)
     assert norm2[-1] >= -1e-10
+
+
+def test_fp_greedy_error_nonincreasing_in_m():
+    # greedy rules are nested in m, so with optimal weights the squared error
+    # cannot grow; 1e-12 is float64 noise on a squared Gaussian error <= 1
+    X = gen_synthetic("gaussian_mixture:d=2,k=3,sep=5", 300, 1).points
+    kern = gaussian(6.7)
+    target = TargetMeasure.discrete(X)
+    T = target_self_product(kern, target)
+    e2 = [
+        worst_case_error(greedy_quadrature(X, kern, m, "f_over_P"), target, kern, T) ** 2
+        for m in range(8, 56, 8)
+    ]
+    assert np.all(np.diff(e2) <= 1e-12), e2
 
 
 def test_f_greedy_beats_worst_random_sets():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kquad import InputError
 from kquad.numerics import eig_sym, pinv_apply
@@ -103,3 +105,35 @@ def test_pinv_validation():
         pinv_apply(np.eye(2), [1.0, 2.0, 3.0])
     with pytest.raises(InputError):
         pinv_apply(np.eye(2), [1.0, 2.0], rel_tol=2.0)
+    with pytest.raises(InputError):
+        pinv_apply(np.array([[1.0, np.nan], [np.nan, 1.0]]), [1.0, 1.0])
+    with pytest.raises(InputError):
+        pinv_apply(np.eye(2), [1.0, np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    rank_frac=st.floats(0.0, 1.0),
+    log_scale=st.integers(-4, 4),
+)
+def test_pinv_recovers_row_space_component(seed, n, rank_frac, log_scale):
+    # A = B B^T has rank r; x = A^+ (A w) must reproduce A w and, being the
+    # minimum-norm preimage, carry nothing along the null space of A.
+    rng = np.random.default_rng(seed)
+    r = round(rank_frac * n)
+    B = rng.standard_normal((n, r)) * 10.0**log_scale
+    A = B @ B.T
+    w = rng.standard_normal(n)
+    x = pinv_apply(A, A @ w)
+    eps = np.finfo(np.float64).eps
+    lam, V = np.linalg.eigh(A)
+    norm_a = max(float(lam[-1]), 0.0)
+    assert np.linalg.norm(A @ x - A @ w) <= 100 * n * eps * norm_a * max(np.linalg.norm(x), 1.0)
+    if 0 < r < n:
+        cond = norm_a / float(lam[n - r])  # condition number on the row space
+        null = V[:, : n - r]
+        assert np.linalg.norm(null.T @ x) <= 100 * n * eps * cond * np.linalg.norm(w)
+    elif r == 0:
+        assert np.array_equal(x, np.zeros(n))

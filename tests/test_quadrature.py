@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kquad import InputError, NumericalError
+from kquad import InputError, NumericalError, quadrature
 from kquad.kernels import evaluate, gaussian, gram, periodic_sobolev
 from kquad.numerics import eig_sym
 from kquad.quadrature import (
@@ -21,6 +21,8 @@ from kquad.quadrature import (
     worst_case_witness,
 )
 from kquad.sampling import SamplerConfig, uniform_subsample
+
+from oracles import gaussian_wce_sq_longdouble
 
 
 def uniform_target(X):
@@ -135,6 +137,67 @@ def test_worst_case_error_negative_beyond_tolerance_raises():
     with pytest.raises(NumericalError):
         # a self-product far below the true one drives E^2 negative
         worst_case_error(rule, target, gaussian(1.0), self_product=-1.0)
+
+
+def floor_case():
+    """Gaussian sigma=2 on 2048 standard-normal 1-d points, 64 uniform nodes.
+
+    The optimal-weight error here is about 3e-6; a pseudo-inverse cutoff
+    far above float64 rounding reports about 1.2e-4 instead.
+    """
+    X = np.random.default_rng(0).standard_normal((2048, 1))
+    idx = uniform_subsample(2048, 64, rng=np.random.default_rng(1))
+    return X, idx, gaussian(2.0)
+
+
+def test_error_not_floored_by_the_weight_solve():
+    X, idx, kern = floor_case()
+    target = uniform_target(X)
+    assert worst_case_error(optimal_weights(kern, X[idx], target), target, kern) < 1e-5
+
+
+@pytest.mark.parametrize("optimal", [True, False])
+def test_worst_case_error_matches_longdouble_oracle(optimal):
+    X, idx, kern = floor_case()
+    target = uniform_target(X)
+    if optimal:
+        rule = optimal_weights(kern, X[idx], target)
+    else:
+        rule = QuadratureRule(nodes=X[idx], weights=np.full(len(idx), 1.0 / len(idx)))
+    e2 = worst_case_error(rule, target, kern) ** 2
+    exact = gaussian_wce_sq_longdouble(2.0, rule.nodes, rule.weights, X, target.masses)
+    # float64 noise: one rounding unit of the magnitudes that cancel in E^2
+    w = np.abs(rule.weights)
+    scale = (
+        target_self_product(kern, target)
+        + 2.0 * w @ np.abs(target_moments(kern, rule.nodes, target))
+        + w @ np.abs(gram(kern, rule.nodes)) @ w
+    )
+    assert abs(e2 - float(exact)) <= np.finfo(np.float64).eps * scale
+
+
+def test_worst_case_error_reuses_the_weight_solve(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((300, 2))
+    kern = gaussian(1.5)
+    target = uniform_target(X)
+    rule = optimal_weights(kern, X[rng.choice(300, 40)], target)  # with duplicates
+    fresh = QuadratureRule(nodes=rule.nodes.copy(), weights=rule.weights.copy())
+    T = target_self_product(kern, target)
+    expected = worst_case_error(fresh, target, kern, self_product=T)
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("moments or node Gram recomputed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "gram", no_recompute)
+        patch.setattr(quadrature, "target_moments", no_recompute)
+        assert worst_case_error(rule, target, kern, self_product=T) == expected
+    # another kernel or target is evaluated afresh, not from the cache
+    other = gaussian(0.5)
+    assert worst_case_error(rule, target, other) == worst_case_error(fresh, target, other)
+    half = TargetMeasure.discrete(X[:150])
+    assert worst_case_error(rule, half, kern) == worst_case_error(fresh, half, kern)
 
 
 def test_witness_matches_error_formula():
