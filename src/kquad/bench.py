@@ -11,32 +11,35 @@ trial rows with trial = 0.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .greedy import greedy_select
-from .kernels import KernelSpec, parse_kernel
+from .kernels import _as_points, parse_kernel
 from .quadrature import (
-    QuadratureRule,
+    GREEDY,
+    METHODS,
     TargetMeasure,
-    optimal_weights,
+    compress,
     target_moments,
     target_self_product,
     worst_case_error,
 )
-from .sampling import parse_sampler, sample_nodes
-
-METHODS = ("monte-carlo", "uniform", "uniform-wr", "arls", "f-greedy", "p-greedy", "fp-greedy")
-_GREEDY_VARIANTS = {"f-greedy": "f", "p-greedy": "P", "fp-greedy": "f_over_P"}
+from .specs import parse_spec
 
 # Stable stream ids for the counter-based seed mix.
 _METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
 _DATA_STREAM = 101
 _BANDWIDTH_STREAM = 102
+
+# Dataset spec schemas: kind -> accepted keys and their value parsers.
+_SYNTHETIC = {
+    "uniform_cube": {"d": int},
+    "gaussian_mixture": {"d": int, "k": int, "sep": float},
+}
+_DATASETS = {**_SYNTHETIC, "csv": {"path": str}}
 
 RAW_HEADER = "method,m,trial,error,sample_time_s,weight_time_s,total_time_s"
 SUMMARY_HEADER = "method,m,error_median,error_std,time_median"
@@ -179,45 +182,24 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise InputError("n must be >= 1")
-    head, _, tail = spec.strip().partition(":")
-    kind = head.strip().lower()
-    params = {}
-    if tail:
-        for item in tail.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise InputError(f"malformed dataset parameter {item!r}")
-            params[key.strip().lower()] = value.strip()
+    kind, params = parse_spec(spec, "dataset", _SYNTHETIC)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if kind == "uniform_cube":
-        d = int(params.pop("d", "1"))
-        if params:
-            raise InputError(f"unknown dataset parameters {sorted(params)}")
+        d = params.get("d", 1)
         return Dataset(points=rng.random((n, d)), name=f"uniform_cube(d={d})")
-    if kind == "gaussian_mixture":
-        d = int(params.pop("d", "2"))
-        k = int(params.pop("k", "3"))
-        sep = float(params.pop("sep", "5"))
-        if params:
-            raise InputError(f"unknown dataset parameters {sorted(params)}")
-        centers = _mixture_centers(d, k, sep, rng)
-        labels = rng.integers(0, k, size=n)
-        pts = centers[labels] + rng.standard_normal((n, d))
-        return Dataset(points=pts, name=f"gaussian_mixture(d={d},k={k},sep={sep})")
-    raise InputError(f"unknown dataset kind {kind!r}")
+    d, k, sep = params.get("d", 2), params.get("k", 3), params.get("sep", 5.0)
+    centers = _mixture_centers(d, k, sep, rng)
+    labels = rng.integers(0, k, size=n)
+    pts = centers[labels] + rng.standard_normal((n, d))
+    return Dataset(points=pts, name=f"gaussian_mixture(d={d},k={k},sep={sep})")
 
 
 def _resolve_dataset(config: ExperimentConfig) -> Dataset:
-    head = config.dataset.strip().partition(":")[0].strip().lower()
-    if head == "csv":
-        params = {}
-        for item in config.dataset.partition(":")[2].split(","):
-            key, _, value = item.partition("=")
-            params[key.strip().lower()] = value.strip()
-        path = params.get("path")
-        if not path:
+    kind, params = parse_spec(config.dataset, "dataset", _DATASETS)
+    if kind == "csv":
+        if not params.get("path"):
             raise InputError("csv dataset needs path=<file>")
-        return load_csv(path, standardize=config.standardize)
+        return load_csv(params["path"], standardize=config.standardize)
     if config.n is None:
         raise InputError("synthetic datasets need n")
     seed = config.data_seed
@@ -230,11 +212,8 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _method_base(method: str) -> str:
-    return method.partition(":")[0].strip().lower()
-
-
-def _validate(config: ExperimentConfig, n: int):
+def _validate(config: ExperimentConfig, n: int) -> dict:
+    """Check the config against the dataset size; return each method's head."""
     grid = tuple(int(m) for m in config.m_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("m_grid must be strictly increasing")
@@ -246,9 +225,7 @@ def _validate(config: ExperimentConfig, n: int):
         raise InputError("trials must be >= 1")
     if not config.methods:
         raise InputError("need at least one method")
-    for method in config.methods:
-        if _method_base(method) not in METHODS:
-            raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+    heads = {method: parse_spec(method, "method", METHODS)[0] for method in config.methods}
     if config.target not in ("data", "unit-cube"):
         raise InputError("target must be 'data' or 'unit-cube'")
     if config.target == "data" and n > 2**14 and not config.allow_large_n:
@@ -256,54 +233,14 @@ def _validate(config: ExperimentConfig, n: int):
             f"n = {n} exceeds 2^14 and the discrete-target error evaluation is "
             "quadratic in n; set allow_large_n = true to proceed"
         )
-
-
-def build_rule(
-    points: np.ndarray,
-    kernel: KernelSpec,
-    method: str,
-    m: int,
-    rng: np.random.Generator,
-    target: TargetMeasure,
-    f_means: np.ndarray | None = None,
-) -> QuadratureRule:
-    """One rule for the given method; phase wall times recorded on the rule."""
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
-    base = _method_base(method)
-    n = points.shape[0]
-    t0 = time.perf_counter()
-    if base == "monte-carlo":
-        indices = rng.integers(0, n, size=m)
-        t1 = time.perf_counter()
-        rule = QuadratureRule(nodes=points[indices], weights=np.full(m, 1.0 / m), indices=indices)
-    elif base in _GREEDY_VARIANTS:
-        variant = _GREEDY_VARIANTS[base]
-        state = greedy_select(points, kernel, f_means, m, variant)
-        indices = state.selected
-        t1 = time.perf_counter()
-        rule = optimal_weights(kernel, points[indices], target)
-        rule.indices = indices
-    else:
-        cfg = parse_sampler(method if base == "arls" else base, m=m)
-        indices = sample_nodes(points, kernel, cfg, rng)
-        t1 = time.perf_counter()
-        rule = optimal_weights(kernel, points[indices], target)
-        rule.indices = indices
-    t2 = time.perf_counter()
-    rule.sample_time_s = t1 - t0
-    rule.weight_time_s = t2 - t1
-    return rule
+    return heads
 
 
 def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> ExperimentResult:
     """Execute the full method x m x trial sweep described by the config."""
     ds = dataset if dataset is not None else _resolve_dataset(config)
-    points = np.asarray(ds.points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    n = points.shape[0]
-    _validate(config, n)
+    points = _as_points(ds.points)
+    heads = _validate(config, points.shape[0])
     workers = max(1, int(config.workers))
     env_cap = os.environ.get("KQUAD_THREADS")
     if env_cap:
@@ -324,19 +261,17 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         target = TargetMeasure.discrete(points)
     self_product = target_self_product(kernel, target)
 
-    needs_means = any(_method_base(meth) in ("f-greedy", "fp-greedy") for meth in config.methods)
+    # the f and f/P greedy criteria share one kernel mean of the data
+    needs_means = any(GREEDY.get(head, "P") != "P" for head in heads.values())
     f_means = (
         target_moments(kernel, points, TargetMeasure.discrete(points)) if needs_means else None
     )
 
     def run_cell(method: str, m: int, trial: int | None) -> list[ResultRow]:
-        base = _method_base(method)
-        if trial is None:
-            rng = derive_rng(config.master_seed, _METHOD_IDS[base], m)
-        else:
-            rng = derive_rng(config.master_seed, _METHOD_IDS[base], m, trial)
+        stream = (m,) if trial is None else (m, trial)
+        rng = derive_rng(config.master_seed, _METHOD_IDS[heads[method]], *stream)
         try:
-            rule = build_rule(points, kernel, method, m, rng, target, f_means)
+            rule = compress(points, kernel, method, m, rng, target, f_means)
             error = worst_case_error(rule, target, kernel, self_product=self_product)
         except (InputError, NumericalError) as exc:
             raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
@@ -349,7 +284,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
 
     tasks = []
     for method in config.methods:
-        deterministic = _method_base(method) in _GREEDY_VARIANTS
+        deterministic = heads[method] in GREEDY
         for m in config.m_grid:
             if deterministic:
                 tasks.append((method, int(m), None))
@@ -459,6 +394,18 @@ _CONFIG_KEYS = {
 }
 
 
+def _split_methods(value: str) -> tuple:
+    """Split a methods list on commas; a ``key=value`` token without ``:``
+    continues the parameters of the method before it."""
+    methods = []
+    for token in (v.strip() for v in value.split(",")):
+        if methods and "=" in token and ":" not in token:
+            methods[-1] += "," + token
+        elif token:
+            methods.append(token)
+    return tuple(methods)
+
+
 def parse_config(path) -> ExperimentConfig:
     """Flat ``key = value`` config file, ``#`` comments, one experiment per file."""
     values = {}
@@ -476,7 +423,7 @@ def parse_config(path) -> ExperimentConfig:
             kind = _CONFIG_KEYS[key]
             try:
                 if kind == "list":
-                    values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+                    values[key] = _split_methods(value)
                 elif kind == "intlist":
                     values[key] = tuple(int(v) for v in value.split(",") if v.strip())
                 elif kind == "bool":

@@ -17,7 +17,8 @@ import numpy as np
 from . import bench, spectral
 from .errors import InputError, NumericalError
 from .kernels import parse_kernel
-from .quadrature import TargetMeasure, save_rule, worst_case_error
+from .quadrature import METHODS, TargetMeasure, compress, save_rule, worst_case_error
+from .specs import parse_spec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compress", help="compress one dataset into a quadrature rule")
     comp.add_argument("--input", required=True, help="CSV of data points")
     comp.add_argument("--kernel", required=True, help="e.g. gaussian:sigma=median")
-    comp.add_argument("--method", required=True, help=f"one of {bench.METHODS}")
+    comp.add_argument("--method", required=True, help=f"one of {tuple(METHODS)}")
     comp.add_argument("--m", required=True, type=int)
     comp.add_argument("--seed", required=True, type=int)
     comp.add_argument("--output", required=True, help="rule CSV to write")
@@ -43,24 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_curve(text: str):
-    head, _, tail = text.strip().partition(":")
-    kwargs = {}
-    if tail:
-        for item in tail.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise InputError(f"malformed curve parameter {item!r}")
-            key = key.strip().lower()
-            if key in ("s", "d"):
-                kwargs[key] = int(value)
-            elif key in ("gamma", "c", "constant"):
-                kwargs[key] = float(value)
-            else:
-                raise InputError(f"unknown curve parameter {key!r}")
-    return head.strip().lower(), kwargs
-
-
 def _cmd_run(args) -> int:
     config = bench.parse_config(args.config)
     raw, summary = bench.run_to_files(config)
@@ -70,17 +53,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    ds = bench.load_csv(args.input, standardize=args.standardize)
-    points = ds.points
-    if bench._method_base(args.method) not in bench.METHODS:
-        raise InputError(f"unknown method {args.method!r}; expected one of {bench.METHODS}")
+    points = bench.load_csv(args.input, standardize=args.standardize).points
     kernel = parse_kernel(args.kernel, points=points, rng=np.random.default_rng(args.seed))
+    # one target object, so worst_case_error reuses the weight solve's v and K_m
     target = TargetMeasure.discrete(points)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    f_means = None
-    if bench._method_base(args.method) in ("f-greedy", "fp-greedy"):
-        f_means = bench.target_moments(kernel, points, target)
-    rule = bench.build_rule(points, kernel, args.method, args.m, rng, target, f_means=f_means)
+    rule = compress(points, kernel, args.method, args.m, args.seed, target)
     save_rule(rule, args.output)
     err = worst_case_error(rule, target, kernel)
     print(f"wrote {len(rule)} nodes to {args.output}; worst-case error {err:.6g}")
@@ -89,7 +66,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_rates(args) -> int:
     summary = bench.read_summary_csv(args.summary)
-    curve, kwargs = _parse_curve(args.model)
+    curve, kwargs = parse_spec(args.model, "curve", spectral.CURVES)
     by_method: dict[str, list] = {}
     for row in summary:
         by_method.setdefault(row.method, []).append(row)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, diagonal, gram
-from .quadrature import QuadratureRule, TargetMeasure, optimal_weights, target_moments
+from .kernels import KernelSpec, _as_points, diagonal, gram
 
 VARIANTS = ("f", "P", "f_over_P")
 
@@ -58,9 +57,7 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown greedy variant {variant!r}; expected one of {VARIANTS}")
-    P = np.asarray(X, dtype=np.float64)
-    if P.ndim == 1:
-        P = P[:, None]
+    P = _as_points(X)
     n = P.shape[0]
     if not 1 <= m <= n:
         raise InputError(f"m must lie in [1, {n}]")
@@ -124,9 +121,7 @@ def power_function_bruteforce(kernel: KernelSpec, X, selected, x) -> float:
     block (equivalently the determinant ratio when x is appended).  Used as a
     test oracle for the incremental updates.
     """
-    P = np.asarray(X, dtype=np.float64)
-    if P.ndim == 1:
-        P = P[:, None]
+    P = _as_points(X)
     sel = np.asarray(selected, dtype=np.intp)
     point = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
     self_val = float(gram(kernel, point)[0, 0])
@@ -139,21 +134,3 @@ def power_function_bruteforce(kernel: KernelSpec, X, selected, x) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("selected Gram block is singular") from exc
     return self_val - float(kt @ solved)
-
-
-def greedy_quadrature(X, kernel: KernelSpec, m: int, variant: str) -> QuadratureRule:
-    """Greedy node selection followed by the optimal-weight solve.
-
-    The interpolated function is the empirical kernel mean at the data,
-    f(x_i) = (1/n) sum_j k(x_i, x_j), so the f and f/P criteria compress the
-    empirical measure; P ignores f entirely.
-    """
-    P = np.asarray(X, dtype=np.float64)
-    if P.ndim == 1:
-        P = P[:, None]
-    target = TargetMeasure.discrete(P)
-    f = None if variant == "P" else target_moments(kernel, P, target)
-    state = greedy_select(P, kernel, f, m, variant)
-    rule = optimal_weights(kernel, P[state.selected], target)
-    rule.indices = state.selected
-    return rule

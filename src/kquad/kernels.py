@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .specs import optional, parse_spec
 
 SUPPORTED_ORDERS = (1, 2, 3)
 
@@ -210,6 +211,16 @@ def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None
     return med
 
 
+_SIGMA = optional(float, "median")
+
+# Kernel spec schema: family -> accepted keys and their value parsers.
+KERNELS = {
+    "gaussian": {"sigma": _SIGMA, "σ": _SIGMA},
+    "laplacian": {"sigma": _SIGMA, "σ": _SIGMA},
+    "sobolev": {"s": int, "d": int},
+}
+
+
 def parse_kernel(
     text: str,
     points=None,
@@ -221,36 +232,12 @@ def parse_kernel(
     Grammar: ``gaussian:sigma=<float|median>``, ``laplacian:sigma=<float|median>``,
     ``sobolev:s=<int>,d=<int>``.  ``sigma=median`` requires ``points``.
     """
-    head, _, tail = text.strip().partition(":")
-    family = head.strip().lower()
-    params = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, value = item.partition("=")
-            if not _:
-                raise InputError(f"malformed kernel parameter {item!r}")
-            params[key.strip().lower()] = value.strip()
-    if family in ("gaussian", "laplacian"):
-        sigma_text = params.pop("sigma", params.pop("σ", "median"))
-        if params:
-            raise InputError(f"unknown kernel parameters {sorted(params)}")
-        if sigma_text == "median":
-            if points is None:
-                raise InputError("sigma=median requires data points")
-            sigma = median_heuristic(points, subset_size=median_subset, rng=rng)
-        else:
-            try:
-                sigma = float(sigma_text)
-            except ValueError as exc:
-                raise InputError(f"bad sigma value {sigma_text!r}") from exc
-        return KernelSpec(family=family, bandwidth=sigma)
+    family, params = parse_spec(text, "kernel", KERNELS)
     if family == "sobolev":
-        try:
-            s = int(params.pop("s", "1"))
-            d = int(params.pop("d", "1"))
-        except ValueError as exc:
-            raise InputError("sobolev parameters s and d must be integers") from exc
-        if params:
-            raise InputError(f"unknown kernel parameters {sorted(params)}")
-        return KernelSpec(family="sobolev", order=s, dim=d)
-    raise InputError(f"unknown kernel family {family!r}")
+        return KernelSpec(family="sobolev", order=params.get("s", 1), dim=params.get("d", 1))
+    sigma = params.get("sigma", params.get("σ"))
+    if sigma is None:
+        if points is None:
+            raise InputError("sigma=median requires data points")
+        sigma = median_heuristic(points, subset_size=median_subset, rng=rng)
+    return KernelSpec(family=family, bandwidth=sigma)

@@ -22,13 +22,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram
+from .greedy import greedy_select
+from .kernels import KernelSpec, _as_points, gram
 from .numerics import pinv_apply
 from .sampling import SamplerConfig, sample_nodes
+from .specs import optional, parse_spec
 
 # Row block for the Theta(n^2) double sums; partial sums are combined with
 # exact (fsum) accumulation.
 _CHUNK_ROWS = 1024
+
+# Method spec schema: every way to build a rule, in stream-id order.
+METHODS = {
+    "monte-carlo": {},
+    "uniform": {},
+    "uniform-wr": {},
+    "arls": {"lambda": optional(float), "pilot": optional(int)},
+    "f-greedy": {},
+    "p-greedy": {},
+    "fp-greedy": {},
+}
+
+# Greedy methods and their greedy_select criterion.
+GREEDY = {"f-greedy": "f", "p-greedy": "P", "fp-greedy": "f_over_P"}
 
 
 @dataclass
@@ -127,9 +143,7 @@ def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarr
     Discrete targets are streamed in row chunks so the m x n cross matrix is
     never materialized; the unit-cube target gives the constant vector 1.
     """
-    N = np.asarray(nodes, dtype=np.float64)
-    if N.ndim == 1:
-        N = N[:, None]
+    N = _as_points(nodes)
     if not target.is_discrete:
         _check_analytic(kernel, target, dim=N.shape[1])
         return np.ones(N.shape[0])
@@ -164,11 +178,7 @@ def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> Quadrat
     which ``worst_case_error`` reuses when called with the same kernel and
     target.
     """
-    N = np.asarray(nodes, dtype=np.float64)
-    if N.ndim == 1:
-        N = N[:, None]
-    if N.shape[0] < 1:
-        raise InputError("need at least one node")
+    N = _as_points(nodes)
     v = target_moments(kernel, N, target)
     Km = gram(kernel, N)
     rule = QuadratureRule(nodes=N, weights=pinv_apply(Km, v))
@@ -252,12 +262,7 @@ def mmd(kernel: KernelSpec, points_a, weights_a, points_b, weights_b) -> float:
     """Embedding distance between two weighted point sets."""
 
     def quad(X, wx, Y, wy):
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
-        if Y.ndim == 1:
-            Y = Y[:, None]
+        X, Y = _as_points(X), _as_points(Y)
         wx = np.asarray(wx, dtype=np.float64).ravel()
         wy = np.asarray(wy, dtype=np.float64).ravel()
         parts = []
@@ -276,21 +281,51 @@ def mmd(kernel: KernelSpec, points_a, weights_a, points_b, weights_b) -> float:
     return math.sqrt(max(m2, 0.0))
 
 
-def compress(X, kernel: KernelSpec, sampler: SamplerConfig) -> QuadratureRule:
-    """End-to-end compression of the empirical measure on X into an m-node rule.
+def compress(
+    X,
+    kernel: KernelSpec,
+    method: str,
+    m: int,
+    rng=0,
+    target: TargetMeasure | None = None,
+    f_means=None,
+) -> QuadratureRule:
+    """Compress the empirical measure on X into an m-node rule by ``method``.
 
-    Samples nodes per the configured strategy, then solves for the optimal
-    weights against the uniform discrete target on X.  Wall time of the two
-    phases is recorded on the returned rule.
+    ``method`` is a spec of METHODS.  ``monte-carlo`` draws m data points
+    uniformly with replacement and weights them 1/m.  Every other method
+    picks m data points and solves for the optimal weights against
+    ``target`` (default: the uniform discrete measure on X): ``uniform`` and
+    ``uniform-wr`` draw them uniformly without or with replacement,
+    ``arls:lambda=<float|auto>,pilot=<int|auto>`` in proportion to
+    approximate ridge leverage scores, and the greedy methods select them by
+    their ``greedy_select`` criterion.  The f and f/P criteria interpolate
+    the data's kernel mean ``f_means``, computed here unless given.  ``rng``
+    is a Generator or a seed.  Wall times of the two phases are recorded on
+    the rule.
     """
-    P = np.asarray(X, dtype=np.float64)
-    if P.ndim == 1:
-        P = P[:, None]
-    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
+    head, params = parse_spec(method, "method", METHODS)
+    if m < 1:
+        raise InputError(f"m must be >= 1, got {m}")
+    P = _as_points(X)
+    rng = np.random.default_rng(rng)
+    if target is None:
+        target = TargetMeasure.discrete(P)
+    if f_means is None and GREEDY.get(head, "P") != "P":
+        f_means = target_moments(kernel, P, TargetMeasure.discrete(P))
     t0 = time.perf_counter()
-    indices = sample_nodes(P, kernel, sampler, rng)
+    if head == "monte-carlo":
+        indices = rng.integers(0, P.shape[0], size=m)
+    elif head in GREEDY:
+        indices = greedy_select(P, kernel, f_means, m, GREEDY[head]).selected
+    else:
+        config = SamplerConfig(head, m, lam=params.get("lambda"), pilot_size=params.get("pilot"))
+        indices = sample_nodes(P, kernel, config, rng)
     t1 = time.perf_counter()
-    rule = optimal_weights(kernel, P[indices], TargetMeasure.discrete(P))
+    if head == "monte-carlo":
+        rule = QuadratureRule(nodes=P[indices], weights=np.full(m, 1.0 / m))
+    else:
+        rule = optimal_weights(kernel, P[indices], target)
     t2 = time.perf_counter()
     rule.indices = indices
     rule.sample_time_s = t1 - t0

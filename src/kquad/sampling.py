@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram, sup_norm_bound
+from .kernels import KernelSpec, _as_points, gram, sup_norm_bound
 from .numerics import eig_sym
 from .spectral import lambda_rule
 
@@ -36,26 +36,21 @@ class SamplerConfig:
 
     ``lam=None`` and ``pilot_size=None`` select the built-in defaults for the
     arls strategy: lam = 19 K^2 log(32 n / delta) / n and p = ceil(4 sqrt(n)).
-    ``z_claim``/``lambda0`` record the claimed multiplicative accuracy and the
-    smallest regularization the scores are trusted at; they are diagnostic.
+    ``lambda0`` is the smallest regularization the scores are trusted at.
     """
 
     strategy: str = "uniform"  # uniform | uniform-wr | arls
     m: int = 1
     lam: float | None = None
     pilot_size: int | None = None
-    z_claim: float = 1.0
     lambda0: float = 0.0
     delta: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in ("uniform", "uniform-wr", "arls"):
             raise InputError(f"unknown sampling strategy {self.strategy!r}")
         if self.m < 1:
             raise InputError("m must be >= 1")
-        if self.z_claim < 1.0:
-            raise InputError("z must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise InputError("delta must lie in (0, 1)")
 
@@ -135,9 +130,7 @@ def approx_rls_pilot(
     feature b_i = L^(-1) k_p(x_i) with K_p = L L^T, and scores
     b_i^T (B B^T + lambda n I)^(-1) b_i.  Cost O(n p^2 + p^3).
     """
-    P = np.asarray(X, dtype=np.float64)
-    if P.ndim == 1:
-        P = P[:, None]
+    P = _as_points(X)
     n = P.shape[0]
     if lam <= 0:
         raise InputError("lambda must be positive")
@@ -194,33 +187,3 @@ def sample_nodes(
     pilot = config.pilot_size if config.pilot_size is not None else default_pilot_size(n)
     scores = approx_rls_pilot(P, kernel, lam, pilot, rng=rng)
     return sample_proportional(scores, config.m, rng=rng)
-
-
-def parse_sampler(text: str, m: int, seed: int = 0) -> SamplerConfig:
-    """Build a SamplerConfig from a strategy string.
-
-    Grammar: ``uniform``, ``uniform-wr``, ``arls:lambda=<float|auto>,pilot=<int|auto>``.
-    """
-    head, _, tail = text.strip().partition(":")
-    strategy = head.strip().lower()
-    if strategy in ("uniform", "uniform-wr"):
-        if tail:
-            raise InputError(f"strategy {strategy!r} takes no parameters")
-        return SamplerConfig(strategy=strategy, m=m, seed=seed)
-    if strategy != "arls":
-        raise InputError(f"unknown sampling strategy {strategy!r}")
-    lam = None
-    pilot = None
-    if tail:
-        for item in tail.split(","):
-            key, eq, value = item.partition("=")
-            key, value = key.strip().lower(), value.strip().lower()
-            if not eq:
-                raise InputError(f"malformed sampler parameter {item!r}")
-            if key == "lambda":
-                lam = None if value == "auto" else float(value)
-            elif key == "pilot":
-                pilot = None if value == "auto" else int(value)
-            else:
-                raise InputError(f"unknown sampler parameter {key!r}")
-    return SamplerConfig(strategy="arls", m=m, lam=lam, pilot_size=pilot, seed=seed)

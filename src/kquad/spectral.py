@@ -175,7 +175,15 @@ def subsample_size_rule(
     return int(math.ceil(value))
 
 
-_CURVES = ("sobolev", "uniform-poly", "uniform-exp", "arls-poly", "arls-exp", "monte-carlo")
+# Rate-curve spec schema: curve -> accepted keys and their value parsers.
+CURVES = {
+    "sobolev": {"s": int, "d": int},
+    "uniform-poly": {"gamma": float},
+    "uniform-exp": {},
+    "arls-poly": {"gamma": float},
+    "arls-exp": {"c": float},
+    "monte-carlo": {},
+}
 
 
 def theoretical_rate_curve(
@@ -231,7 +239,7 @@ def theoretical_rate_curve(
         pred = m**-0.5
         label = "monte-carlo"
     else:
-        raise InputError(f"unknown curve {curve!r}; expected one of {_CURVES}")
+        raise InputError(f"unknown curve {curve!r}; expected one of {tuple(CURVES)}")
     return RatePrediction(m_values=m, predicted_error=constant * pred, label=label)
 
 

@@ -306,6 +306,28 @@ output = results.csv
     run_experiment(cfg)  # parses into a runnable config
 
 
+def test_parse_config_keeps_method_parameters(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        """
+dataset = gaussian_mixture:d=2,k=3,sep=5
+kernel = gaussian:sigma=median
+methods = uniform, arls:lambda=auto,pilot=64, fp-greedy
+m_grid = 8, 16
+trials = 2
+master_seed = 5
+n = 200
+timings = off
+output = results.csv
+""",
+        encoding="utf-8",
+    )
+    cfg = parse_config(path)
+    assert cfg.methods == ("uniform", "arls:lambda=auto,pilot=64", "fp-greedy")
+    res = run_experiment(cfg)
+    assert [r.method for r in res.rows].count("arls:lambda=auto,pilot=64") == 2 * 2
+
+
 def test_parse_config_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("dataset = uniform_cube:d=1\nwhat = 7\n", encoding="utf-8")

@@ -191,3 +191,51 @@ def test_run_bad_thread_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KQUAD_THREADS", "abc")
     assert cli.main(["run", str(write_run_config(tmp_path, workers="2"))]) == 1
     assert "KQUAD_THREADS" in capsys.readouterr().err
+
+
+def _rates_summary(tmp_path):
+    summary = tmp_path / "s_summary.csv"
+    summary.write_text(
+        "method,m,error_median,error_std,time_median\n"
+        "uniform,8,0.1,0.0,0.0\nuniform,16,0.05,0.0,0.0\n",
+        encoding="utf-8",
+    )
+    return summary
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("run", "uniform_cube:d=abc"),
+        ("run", "gaussian_mixture:sep=far"),
+        ("run", "csv:path={csv},foo=1"),
+        ("compress", "arls:lambda=abc"),
+        ("compress", "arls:pilot=1.5"),
+        ("compress", "uniform:foo=1"),
+        ("compress", "uniform-wr:x=1"),
+        ("compress", "monte-carlo:x=1"),
+        ("compress", "p-greedy:foo=1"),
+        ("rates", "sobolev:s=x,d=1"),
+        ("rates", "uniform-poly:gamma=abc"),
+    ],
+)
+def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
+    path, _ = data_csv
+    if command == "run":
+        dataset = spec.format(csv=path)
+        config = write_run_config(tmp_path, dataset=dataset, kernel="gaussian:sigma=1", target="data")
+        argv = ["run", str(config)]
+    elif command == "compress":
+        argv = [
+            "compress",
+            "--input", str(path),
+            "--kernel", "gaussian:sigma=1",
+            "--method", spec,
+            "--m", "4",
+            "--seed", "0",
+            "--output", str(tmp_path / "r.csv"),
+        ]
+    else:
+        argv = ["rates", "--summary", str(_rates_summary(tmp_path)), "--model", spec]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -3,9 +3,15 @@ import pytest
 
 from kquad import InputError
 from kquad.bench import gen_synthetic
-from kquad.greedy import greedy_quadrature, greedy_select, power_function_bruteforce
+from kquad.greedy import greedy_select, power_function_bruteforce
 from kquad.kernels import gaussian, gram, periodic_sobolev
-from kquad.quadrature import TargetMeasure, optimal_weights, target_self_product, worst_case_error
+from kquad.quadrature import (
+    TargetMeasure,
+    compress,
+    optimal_weights,
+    target_self_product,
+    worst_case_error,
+)
 from kquad.sampling import uniform_subsample
 
 from oracles import dense_interpolation_residual, projected_gram
@@ -155,8 +161,8 @@ def test_greedy_quadrature_full_support():
     X = rng.random((14, 1))
     kern = periodic_sobolev(1, 1)
     target = TargetMeasure.discrete(X)
-    for variant in ("f", "P", "f_over_P"):
-        rule = greedy_quadrature(X, kern, 14, variant)
+    for method in ("f-greedy", "p-greedy", "fp-greedy"):
+        rule = compress(X, kern, method, 14)
         assert worst_case_error(rule, target, kern) <= 1e-6
 
 
@@ -182,7 +188,7 @@ def test_fp_greedy_error_nonincreasing_in_m():
     target = TargetMeasure.discrete(X)
     T = target_self_product(kern, target)
     e2 = [
-        worst_case_error(greedy_quadrature(X, kern, m, "f_over_P"), target, kern, T) ** 2
+        worst_case_error(compress(X, kern, "fp-greedy", m), target, kern, T) ** 2
         for m in range(8, 56, 8)
     ]
     assert np.all(np.diff(e2) <= 1e-12), e2
@@ -193,7 +199,7 @@ def test_f_greedy_beats_worst_random_sets():
     X = rng.random((16, 2))
     kern = gaussian(0.5)
     target = TargetMeasure.discrete(X)
-    rule = greedy_quadrature(X, kern, 4, "f")
+    rule = compress(X, kern, "f-greedy", 4)
     greedy_err = worst_case_error(rule, target, kern)
     worst = 0.0
     for _ in range(50):

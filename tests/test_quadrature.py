@@ -20,7 +20,7 @@ from kquad.quadrature import (
     worst_case_error,
     worst_case_witness,
 )
-from kquad.sampling import SamplerConfig, uniform_subsample
+from kquad.sampling import uniform_subsample
 
 from oracles import gaussian_wce_sq_longdouble
 
@@ -305,7 +305,7 @@ def test_compress_full_support():
     rng = np.random.default_rng(14)
     X = rng.random((40, 2))
     kern = gaussian(0.9)
-    rule = compress(X, kern, SamplerConfig(strategy="uniform", m=40, seed=5))
+    rule = compress(X, kern, "uniform", 40, rng=5)
     assert worst_case_error(rule, uniform_target(X), kern) <= 1e-6
     assert rule.sample_time_s is not None and rule.weight_time_s is not None
 
@@ -314,7 +314,7 @@ def test_compress_single_node_matches_formula():
     rng = np.random.default_rng(15)
     X = rng.standard_normal((25, 2))
     kern = gaussian(0.8)
-    rule = compress(X, kern, SamplerConfig(strategy="uniform", m=1, seed=9))
+    rule = compress(X, kern, "uniform", 1, rng=9)
     node = rule.nodes[0]
     expected = np.mean([evaluate(kern, node, x) for x in X]) / evaluate(kern, node, node)
     assert abs(rule.weights[0] - expected) < 1e-12
@@ -324,8 +324,7 @@ def test_compress_deterministic():
     rng = np.random.default_rng(16)
     X = rng.standard_normal((50, 2))
     kern = gaussian(1.1)
-    cfg = SamplerConfig(strategy="arls", m=8, seed=77)
-    r1, r2 = compress(X, kern, cfg), compress(X, kern, cfg)
+    r1, r2 = compress(X, kern, "arls", 8, rng=77), compress(X, kern, "arls", 8, rng=77)
     assert np.array_equal(r1.nodes, r2.nodes)
     assert np.array_equal(r1.weights, r2.weights)
     assert np.array_equal(r1.indices, r2.indices)

@@ -8,7 +8,6 @@ from kquad.sampling import (
     SamplerConfig,
     approx_rls_pilot,
     exact_rls,
-    parse_sampler,
     sample_nodes,
     sample_proportional,
     uniform_subsample,
@@ -210,8 +209,6 @@ def test_sampler_config_validation():
     with pytest.raises(InputError):
         SamplerConfig(strategy="uniform", m=0)
     with pytest.raises(InputError):
-        SamplerConfig(strategy="arls", m=4, z_claim=0.5)
-    with pytest.raises(InputError):
         SamplerConfig(strategy="arls", m=4, delta=1.5)
 
 
@@ -220,18 +217,3 @@ def test_lambda0_floor_enforced():
     cfg = SamplerConfig(strategy="arls", m=4, lam=1e-6, lambda0=1e-3)
     with pytest.raises(InputError):
         sample_nodes(X, gaussian(1.0), cfg, np.random.default_rng(0))
-
-
-def test_parse_sampler():
-    cfg = parse_sampler("uniform", m=8, seed=3)
-    assert cfg.strategy == "uniform" and cfg.m == 8 and cfg.seed == 3
-    cfg = parse_sampler("uniform-wr", m=8)
-    assert cfg.strategy == "uniform-wr"
-    cfg = parse_sampler("arls:lambda=0.5,pilot=32", m=8)
-    assert cfg.lam == 0.5 and cfg.pilot_size == 32
-    cfg = parse_sampler("arls:lambda=auto,pilot=auto", m=8)
-    assert cfg.lam is None and cfg.pilot_size is None
-    with pytest.raises(InputError):
-        parse_sampler("uniform:oops=1", m=8)
-    with pytest.raises(InputError):
-        parse_sampler("arls:unknown=1", m=8)
