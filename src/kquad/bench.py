@@ -1,11 +1,18 @@
 """Experiment harness: datasets, method sweeps, timing, and CSV output.
 
-A sweep runs every (method, m, trial) cell, building a rule and evaluating
-its exact worst-case error against the configured target.  Randomized cells
-get independent RNG streams derived from (master_seed, method, m, trial) by
-a counter-based seed mix, so results are identical for any worker count.
-Deterministic (greedy) methods run once per m and are replicated across
-trial rows with trial = 0.
+A sweep runs one cell per (method, trial).  A cell builds the method's rule
+at every m of the grid through ``quadrature.compress_grid`` and evaluates
+each rule's exact worst-case error against the configured target.  The work
+that does not depend on m is done once per cell: arls draws its pilot
+leverage scores from a score stream keyed by (master_seed, method, trial),
+then draws each m's nodes from a draw stream keyed by (master_seed, method,
+m, trial); uniform, uniform-wr and monte-carlo draw from the draw stream
+only.  The streams come from a counter-based seed mix, so a row depends only
+on its own key: not on the worker count, nor on the other m of the grid.
+Deterministic (greedy) methods run one cell, selecting once at the largest
+m and taking the first m nodes for each m; their rows are replicated across
+trial rows with trial = 0.  The shared pilot or greedy time is counted in
+the ``sample_time_s`` of the cell's first (smallest) m.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .quadrature import (
     GREEDY,
     METHODS,
     TargetMeasure,
-    compress,
+    compress_grid,
     target_moments,
     target_self_product,
     worst_case_error,
@@ -183,6 +190,9 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
     if n < 1:
         raise InputError("n must be >= 1")
     kind, params = parse_spec(spec, "dataset", _SYNTHETIC)
+    for key in ("d", "k"):
+        if params.get(key, 1) < 1:
+            raise InputError(f"dataset {key} must be >= 1, got {params[key]}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if kind == "uniform_cube":
         d = params.get("d", 1)
@@ -212,8 +222,9 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _validate(config: ExperimentConfig, n: int) -> dict:
-    """Check the config against the dataset size; return each method's head."""
+def _validate(config: ExperimentConfig, n: int) -> tuple[tuple, dict]:
+    """Check the config against the dataset size; return the m grid and
+    each method's head."""
     grid = tuple(int(m) for m in config.m_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("m_grid must be strictly increasing")
@@ -233,14 +244,18 @@ def _validate(config: ExperimentConfig, n: int) -> dict:
             f"n = {n} exceeds 2^14 and the discrete-target error evaluation is "
             "quadratic in n; set allow_large_n = true to proceed"
         )
-    return heads
+    return grid, heads
 
 
 def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> ExperimentResult:
     """Execute the full method x m x trial sweep described by the config."""
+    for key in ("master_seed", "data_seed"):
+        seed = getattr(config, key)
+        if seed is not None and seed < 0:
+            raise InputError(f"{key} must be >= 0, got {seed}")
     ds = dataset if dataset is not None else _resolve_dataset(config)
     points = _as_points(ds.points)
-    heads = _validate(config, points.shape[0])
+    grid, heads = _validate(config, points.shape[0])
     workers = max(1, int(config.workers))
     env_cap = os.environ.get("KQUAD_THREADS")
     if env_cap:
@@ -267,29 +282,39 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         target_moments(kernel, points, TargetMeasure.discrete(points)) if needs_means else None
     )
 
-    def run_cell(method: str, m: int, trial: int | None) -> list[ResultRow]:
-        stream = (m,) if trial is None else (m, trial)
-        rng = derive_rng(config.master_seed, _METHOD_IDS[heads[method]], *stream)
-        try:
-            rule = compress(points, kernel, method, m, rng, target, f_means)
-            error = worst_case_error(rule, target, kernel, self_product=self_product)
-        except (InputError, NumericalError) as exc:
-            raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
-        ts, tw = rule.sample_time_s, rule.weight_time_s
-        if trial is None:  # deterministic method: replicate across trial rows
-            return [
-                ResultRow(method, m, 0, error, ts, tw, ts + tw) for _ in range(config.trials)
-            ]
-        return [ResultRow(method, m, trial, error, ts, tw, ts + tw)]
+    def run_cell(method: str, trial: int | None) -> list[ResultRow]:
+        mid, tkey = _METHOD_IDS[heads[method]], (() if trial is None else (trial,))
+        rules = compress_grid(
+            points,
+            kernel,
+            method,
+            grid,
+            derive_rng(config.master_seed, mid, *tkey),  # score stream
+            target,
+            f_means,
+            draw_rng=lambda m: derive_rng(config.master_seed, mid, m, *tkey),
+        )
+        rows = []
+        for m in grid:
+            try:
+                rule = next(rules)
+                error = worst_case_error(rule, target, kernel, self_product=self_product)
+            except (InputError, NumericalError) as exc:
+                raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
+            ts, tw = rule.sample_time_s, rule.weight_time_s
+            del rule  # compress_grid builds the next rule only once this one is freed
+            if trial is None:  # deterministic method: replicate across trial rows
+                rows += [ResultRow(method, m, 0, error, ts, tw, ts + tw)] * config.trials
+            else:
+                rows.append(ResultRow(method, m, trial, error, ts, tw, ts + tw))
+        return rows
 
     tasks = []
     for method in config.methods:
-        deterministic = heads[method] in GREEDY
-        for m in config.m_grid:
-            if deterministic:
-                tasks.append((method, int(m), None))
-            else:
-                tasks.extend((method, int(m), t) for t in range(config.trials))
+        if heads[method] in GREEDY:
+            tasks.append((method, None))
+        else:
+            tasks.extend((method, t) for t in range(config.trials))
 
     if workers == 1:
         chunks = [run_cell(*task) for task in tasks]

@@ -53,6 +53,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     points = bench.load_csv(args.input, standardize=args.standardize).points
     kernel = parse_kernel(args.kernel, points=points, rng=np.random.default_rng(args.seed))
     # one target object, so worst_case_error reuses the weight solve's v and K_m

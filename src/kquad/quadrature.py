@@ -15,9 +15,11 @@ Sobolev kernel, whose moments are identically one.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import InputError, NumericalError
 from .greedy import greedy_select
 from .kernels import KernelSpec, _as_points, gram
 from .numerics import pinv_apply
-from .sampling import SamplerConfig, sample_nodes
+from .sampling import SamplerConfig, arls_scores, sample_nodes
 from .specs import optional, parse_spec
 
 # Row block for the Theta(n^2) double sums; partial sums are combined with
@@ -45,6 +47,8 @@ METHODS = {
 
 # Greedy methods and their greedy_select criterion.
 GREEDY = {"f-greedy": "f", "p-greedy": "P", "fp-greedy": "f_over_P"}
+
+_LOG = logging.getLogger("kquad")
 
 
 @dataclass
@@ -302,35 +306,81 @@ def compress(
     their ``greedy_select`` criterion.  The f and f/P criteria interpolate
     the data's kernel mean ``f_means``, computed here unless given.  ``rng``
     is a Generator or a seed.  Wall times of the two phases are recorded on
-    the rule.
+    the rule.  This is ``compress_grid`` at the single m.
+    """
+    return next(compress_grid(X, kernel, method, (m,), rng, target, f_means))
+
+
+def compress_grid(
+    X,
+    kernel: KernelSpec,
+    method: str,
+    ms,
+    rng=0,
+    target: TargetMeasure | None = None,
+    f_means=None,
+    draw_rng=None,
+) -> Iterator[QuadratureRule]:
+    """Yield the rule ``compress`` builds at each m of ``ms``, in order.
+
+    The work that does not depend on m is done once: the arls pilot scores
+    are drawn from ``rng``, and a greedy method runs once at max(ms), the
+    rule for m taking the first m of its nodes.  Then each m draws its nodes
+    from ``draw_rng(m)`` (default: ``rng``) and solves for its weights.  The
+    first rule's ``sample_time_s`` carries the shared phase.  A greedy
+    selection that stops before max(ms), with every candidate inside the
+    selected span, is logged as a warning on the ``kquad`` logger, and its
+    rules for the larger m have fewer than m nodes.
     """
     head, params = parse_spec(method, "method", METHODS)
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
+    ms = list(ms)
+    for m in ms:
+        if m < 1:
+            raise InputError(f"m must be >= 1, got {m}")
+    if not ms:
+        return
     P = _as_points(X)
     rng = np.random.default_rng(rng)
     if target is None:
         target = TargetMeasure.discrete(P)
     if f_means is None and GREEDY.get(head, "P") != "P":
         f_means = target_moments(kernel, P, TargetMeasure.discrete(P))
+
     t0 = time.perf_counter()
-    if head == "monte-carlo":
-        indices = rng.integers(0, P.shape[0], size=m)
-    elif head in GREEDY:
-        indices = greedy_select(P, kernel, f_means, m, GREEDY[head]).selected
-    else:
-        config = SamplerConfig(head, m, lam=params.get("lambda"), pilot_size=params.get("pilot"))
-        indices = sample_nodes(P, kernel, config, rng)
-    t1 = time.perf_counter()
-    if head == "monte-carlo":
-        rule = QuadratureRule(nodes=P[indices], weights=np.full(m, 1.0 / m))
-    else:
-        rule = optimal_weights(kernel, P[indices], target)
-    t2 = time.perf_counter()
-    rule.indices = indices
-    rule.sample_time_s = t1 - t0
-    rule.weight_time_s = t2 - t1
-    return rule
+    if head in GREEDY:
+        selected = greedy_select(P, kernel, f_means, max(ms), GREEDY[head]).selected
+        short = [m for m in ms if m > len(selected)]
+        if short:
+            _LOG.warning(
+                "%s stopped at %d nodes, every remaining candidate lying in the span of "
+                "the selected ones; its rules for m = %s have %d nodes",
+                method, len(selected), ", ".join(map(str, short)), len(selected),
+            )
+    elif head != "monte-carlo":
+        sampler = SamplerConfig(head, lam=params.get("lambda"), pilot_size=params.get("pilot"))
+        scores = arls_scores(P, kernel, sampler, rng) if head == "arls" else None
+    shared_s = time.perf_counter() - t0
+    for m in ms:
+        t0 = time.perf_counter()
+        draw = rng if draw_rng is None else draw_rng(m)
+        if head == "monte-carlo":
+            indices = draw.integers(0, P.shape[0], size=m)
+        elif head in GREEDY:
+            indices = selected[:m]
+        else:
+            indices = sample_nodes(P, kernel, replace(sampler, m=m), draw, scores)
+        t1 = time.perf_counter()
+        if head == "monte-carlo":
+            rule = QuadratureRule(nodes=P[indices], weights=np.full(m, 1.0 / m))
+        else:
+            rule = optimal_weights(kernel, P[indices], target)
+        t2 = time.perf_counter()
+        rule.indices = indices
+        rule.sample_time_s = shared_s + t1 - t0
+        rule.weight_time_s = t2 - t1
+        shared_s = 0.0
+        yield rule
+        del rule  # free this rule's K_m before building the next, larger one
 
 
 def save_rule(rule: QuadratureRule, path) -> None:

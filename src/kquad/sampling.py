@@ -169,21 +169,40 @@ def default_pilot_size(n: int) -> int:
     return min(n, int(math.ceil(4.0 * math.sqrt(n))))
 
 
-def sample_nodes(
+def arls_scores(
     X, kernel: KernelSpec, config: SamplerConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Indices of the quadrature nodes for the configured strategy."""
+) -> LeverageScores:
+    """Pilot leverage scores of the arls strategy at the configured lambda
+    and pilot size: the part of its node draw that does not depend on m."""
     P = np.asarray(X, dtype=np.float64)
     n = P.shape[0]
-    if config.strategy == "uniform":
-        return uniform_subsample(n, config.m, with_replacement=False, rng=rng)
-    if config.strategy == "uniform-wr":
-        return uniform_subsample(n, config.m, with_replacement=True, rng=rng)
     lam = config.lam
     if lam is None:
         lam = lambda_rule("arls", n, K=sup_norm_bound(kernel), delta=config.delta)
     if lam < config.lambda0:
         raise InputError(f"lambda {lam:.3g} is below the trusted floor lambda0 {config.lambda0:.3g}")
     pilot = config.pilot_size if config.pilot_size is not None else default_pilot_size(n)
-    scores = approx_rls_pilot(P, kernel, lam, pilot, rng=rng)
+    return approx_rls_pilot(P, kernel, lam, pilot, rng=rng)
+
+
+def sample_nodes(
+    X,
+    kernel: KernelSpec,
+    config: SamplerConfig,
+    rng: np.random.Generator,
+    scores: LeverageScores | None = None,
+) -> np.ndarray:
+    """Indices of the quadrature nodes for the configured strategy.
+
+    For arls, ``scores`` from ``arls_scores`` replaces the pilot draw, so one
+    pilot can serve every m; without them the pilot and the draw share ``rng``.
+    """
+    P = np.asarray(X, dtype=np.float64)
+    n = P.shape[0]
+    if config.strategy == "uniform":
+        return uniform_subsample(n, config.m, with_replacement=False, rng=rng)
+    if config.strategy == "uniform-wr":
+        return uniform_subsample(n, config.m, with_replacement=True, rng=rng)
+    if scores is None:
+        scores = arls_scores(P, kernel, config, rng)
     return sample_proportional(scores, config.m, rng=rng)

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,8 @@ from kquad.bench import (
     write_raw_csv,
 )
 from kquad.kernels import parse_kernel
-from kquad.quadrature import TargetMeasure, optimal_weights, worst_case_error
-from kquad.sampling import SamplerConfig, sample_nodes
+from kquad.quadrature import TargetMeasure, compress, optimal_weights, worst_case_error
+from kquad.sampling import SamplerConfig, arls_scores, sample_nodes
 
 
 def small_config(**overrides):
@@ -179,15 +182,64 @@ def test_reported_error_never_beats_optimal_weights():
     )
     target = TargetMeasure.discrete(ds.points)
     for row in res.rows:
-        rng = derive_rng(cfg.master_seed, _METHOD_IDS[row.method], row.m, row.trial)
+        mid = _METHOD_IDS[row.method]
+        draw = derive_rng(cfg.master_seed, mid, row.m, row.trial)
         if row.method == "monte-carlo":
-            idx = rng.integers(0, 200, size=row.m)
+            idx = draw.integers(0, 200, size=row.m)
         else:
-            idx = sample_nodes(
-                ds.points, kern, SamplerConfig(strategy=row.method, m=row.m), rng
-            )
+            sampler = SamplerConfig(strategy=row.method, m=row.m)
+            scores = None
+            if row.method == "arls":  # one pilot per trial, from the score stream
+                pilot_rng = derive_rng(cfg.master_seed, mid, row.trial)
+                scores = arls_scores(ds.points, kern, sampler, pilot_rng)
+            idx = sample_nodes(ds.points, kern, sampler, draw, scores)
         best = optimal_weights(kern, ds.points[idx], target)
         assert row.error >= worst_case_error(best, target, kern) - 1e-10
+
+
+def test_rows_do_not_depend_on_the_rest_of_the_grid():
+    methods = ("uniform", "arls", "monte-carlo", "fp-greedy")
+    both = run_experiment(small_config(methods=methods, m_grid=(16, 32)))
+    alone = run_experiment(small_config(methods=methods, m_grid=(32,)))
+
+    def key(r):
+        return (r.method, r.m, r.trial, r.error)
+
+    assert [key(r) for r in both.rows if r.m == 32] == [key(r) for r in alone.rows]
+
+
+def test_greedy_rows_match_standalone_compress():
+    from kquad.bench import _BANDWIDTH_STREAM, _resolve_dataset
+
+    # both selections stop short of 64 nodes on this data
+    cfg = small_config(methods=("fp-greedy", "p-greedy"), m_grid=(4, 16, 64), trials=1)
+    res = run_experiment(cfg)
+    ds = _resolve_dataset(cfg)
+    kern = parse_kernel(
+        cfg.kernel, points=ds.points, rng=derive_rng(cfg.master_seed, _BANDWIDTH_STREAM)
+    )
+    target = TargetMeasure.discrete(ds.points)
+    for row in res.rows:
+        rule = compress(ds.points, kern, row.method, row.m, target=target)
+        assert repr(row.error) == repr(worst_case_error(rule, target, kern))
+
+
+def test_greedy_truncation_is_logged(caplog):
+    cfg = small_config(methods=("fp-greedy",), m_grid=(16, 64, 128), trials=2)
+    with caplog.at_level(logging.WARNING, logger="kquad"):
+        res = run_experiment(cfg)
+    [record] = caplog.records
+    message = record.getMessage()
+    used = int(re.search(r"stopped at (\d+) nodes", message).group(1))
+    assert 16 < used < 64
+    assert message.startswith("fp-greedy ")
+    assert f"m = 64, 128 have {used} nodes" in message
+    errors = {r.m: r.error for r in res.rows}
+    assert errors[64] == errors[128]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="kquad"):
+        run_experiment(small_config(methods=("fp-greedy",), m_grid=(8, 16)))
+    assert not caplog.records
 
 
 def test_run_experiment_reproducible_bytes(tmp_path):

@@ -187,6 +187,29 @@ def test_run_zero_in_m_grid_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["master_seed", "data_seed"])
+def test_run_negative_seed_exit_code(tmp_path, capsys, key):
+    assert cli.main(["run", str(write_run_config(tmp_path, **{key: "-1"}))]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be >= 0")
+
+
+def test_compress_negative_seed_exit_code(data_csv, tmp_path, capsys):
+    path, _ = data_csv
+    code = cli.main(
+        [
+            "compress",
+            "--input", str(path),
+            "--kernel", "gaussian:sigma=median",
+            "--method", "uniform",
+            "--m", "4",
+            "--seed", "-1",
+            "--output", str(tmp_path / "r.csv"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --seed must be >= 0")
+
+
 def test_run_bad_thread_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KQUAD_THREADS", "abc")
     assert cli.main(["run", str(write_run_config(tmp_path, workers="2"))]) == 1
@@ -209,6 +232,9 @@ def _rates_summary(tmp_path):
         ("run", "uniform_cube:d=abc"),
         ("run", "gaussian_mixture:sep=far"),
         ("run", "csv:path={csv},foo=1"),
+        ("run", "gaussian_mixture:k=0"),
+        ("run", "uniform_cube:d=-1"),
+        ("run", "uniform_cube:d=0"),
         ("compress", "arls:lambda=abc"),
         ("compress", "arls:pilot=1.5"),
         ("compress", "uniform:foo=1"),
