@@ -380,21 +380,20 @@ def write_summary_csv(summary: list, path, timings: bool = True) -> None:
 
 def read_summary_csv(path) -> list:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != SUMMARY_HEADER:
+        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    if not lines or lines[0][1] != SUMMARY_HEADER:
         raise InputError(f"{path}: not a summary CSV")
+    width = SUMMARY_HEADER.count(",") + 1
     out = []
-    for line in lines[1:]:
-        method, m, med, std, tmed = line.split(",")
-        out.append(
-            SummaryRow(
-                method=method,
-                m=int(m),
-                error_median=float(med),
-                error_std=float(std),
-                time_median=float(tmed),
-            )
-        )
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise InputError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
+        method, m, med, std, tmed = cells
+        try:
+            out.append(SummaryRow(method, int(m), float(med), float(std), float(tmed)))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .kernels import KernelSpec, _as_points, diagonal, gram
 
 VARIANTS = ("f", "P", "f_over_P")
@@ -113,24 +113,3 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
         truncated=t < m,
     )
 
-
-def power_function_bruteforce(kernel: KernelSpec, X, selected, x) -> float:
-    """Reference squared power function via a dense solve.
-
-    k(x, x) - k_t(x)^T K_t^(-1) k_t(x), the Schur complement of the selected
-    block (equivalently the determinant ratio when x is appended).  Used as a
-    test oracle for the incremental updates.
-    """
-    P = _as_points(X)
-    sel = np.asarray(selected, dtype=np.intp)
-    point = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
-    self_val = float(gram(kernel, point)[0, 0])
-    if sel.size == 0:
-        return self_val
-    Kt = gram(kernel, P[sel])
-    kt = gram(kernel, P[sel], point)[:, 0]
-    try:
-        solved = np.linalg.solve(Kt, kt)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("selected Gram block is singular") from exc
-    return self_val - float(kt @ solved)

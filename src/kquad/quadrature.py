@@ -19,7 +19,7 @@ import logging
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,11 +27,10 @@ from .errors import InputError, NumericalError
 from .greedy import greedy_select
 from .kernels import KernelSpec, _as_points, gram
 from .numerics import pinv_apply
-from .sampling import SamplerConfig, arls_scores, sample_nodes
+from .sampling import arls_scores, sample_proportional, uniform_subsample
 from .specs import optional, parse_spec
 
-# Row block for the Theta(n^2) double sums; partial sums are combined with
-# exact (fsum) accumulation.
+# Row block for the Theta(n^2) double sum and the discrete target moments.
 _CHUNK_ROWS = 1024
 
 # Method spec schema: every way to build a rule, in stream-id order.
@@ -164,12 +163,15 @@ def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
     if not target.is_discrete:
         _check_analytic(kernel, target)
         return 1.0
-    pts, masses = target.points, target.masses
-    parts = []
-    for i0 in range(0, pts.shape[0], _CHUNK_ROWS):
-        i1 = min(i0 + _CHUNK_ROWS, pts.shape[0])
-        parts.append(float(masses[i0:i1] @ (gram(kernel, pts[i0:i1], pts) @ masses)))
-    return math.fsum(parts)
+    return _weighted_sum(kernel, target.points, target.masses, target.points, target.masses)
+
+
+def _weighted_sum(kernel: KernelSpec, X, a, Y, b) -> float:
+    """a^T K(X, Y) b over row blocks of X, the partial sums combined by fsum."""
+    return math.fsum(
+        float(a[i0 : i0 + _CHUNK_ROWS] @ (gram(kernel, X[i0 : i0 + _CHUNK_ROWS], Y) @ b))
+        for i0 in range(0, X.shape[0], _CHUNK_ROWS)
+    )
 
 
 def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> QuadratureRule:
@@ -232,54 +234,16 @@ def worst_case_error(
     return math.sqrt(max(e2, 0.0))
 
 
-def worst_case_witness(
-    rule: QuadratureRule, target: TargetMeasure, kernel: KernelSpec
-) -> tuple[np.ndarray, float]:
-    """Unit-norm witness function achieving the worst-case error.
-
-    The witness is the normalized difference of the target and rule
-    embeddings, expanded over the union of the target support and the nodes.
-    Returns its expansion coefficients and the achieved integration gap,
-    which must equal ``worst_case_error``.  A zero embedding gap yields zero
-    coefficients and gap 0.
-    """
-    if not target.is_discrete:
-        raise InputError("the witness construction needs a discrete target")
-    pts, masses = target.points, target.masses
-    if pts.shape[1] != rule.nodes.shape[1]:
-        raise InputError("target and rule dimensions differ")
-    union = np.vstack([pts, rule.nodes])
-    coeffs = np.concatenate([masses, -rule.weights])
-    G = gram(kernel, union)
-    norm2 = float(coeffs @ (G @ coeffs))
-    scale = float(np.abs(coeffs) @ (np.abs(G) @ np.abs(coeffs)))
-    if norm2 <= 1e-13 * scale:
-        return np.zeros_like(coeffs), 0.0
-    unit = coeffs / math.sqrt(norm2)
-    n_t = pts.shape[0]
-    target_integral = float(masses @ (G[:n_t] @ unit))
-    rule_integral = float(rule.weights @ (G[n_t:] @ unit))
-    return unit, abs(target_integral - rule_integral)
-
-
 def mmd(kernel: KernelSpec, points_a, weights_a, points_b, weights_b) -> float:
     """Embedding distance between two weighted point sets."""
-
-    def quad(X, wx, Y, wy):
-        X, Y = _as_points(X), _as_points(Y)
-        wx = np.asarray(wx, dtype=np.float64).ravel()
-        wy = np.asarray(wy, dtype=np.float64).ravel()
-        parts = []
-        for i0 in range(0, X.shape[0], _CHUNK_ROWS):
-            i1 = min(i0 + _CHUNK_ROWS, X.shape[0])
-            parts.append(float(wx[i0:i1] @ (gram(kernel, X[i0:i1], Y) @ wy)))
-        return math.fsum(parts)
-
+    A, B = _as_points(points_a), _as_points(points_b)
+    a = np.asarray(weights_a, dtype=np.float64).ravel()
+    b = np.asarray(weights_b, dtype=np.float64).ravel()
     m2 = math.fsum(
         [
-            quad(points_a, weights_a, points_a, weights_a),
-            -2.0 * quad(points_a, weights_a, points_b, weights_b),
-            quad(points_b, weights_b, points_b, weights_b),
+            _weighted_sum(kernel, A, a, A, a),
+            -2.0 * _weighted_sum(kernel, A, a, B, b),
+            _weighted_sum(kernel, B, b, B, b),
         ]
     )
     return math.sqrt(max(m2, 0.0))
@@ -356,19 +320,18 @@ def compress_grid(
                 "the selected ones; its rules for m = %s have %d nodes",
                 method, len(selected), ", ".join(map(str, short)), len(selected),
             )
-    elif head != "monte-carlo":
-        sampler = SamplerConfig(head, lam=params.get("lambda"), pilot_size=params.get("pilot"))
-        scores = arls_scores(P, kernel, sampler, rng) if head == "arls" else None
+    elif head == "arls":
+        scores = arls_scores(P, kernel, params.get("lambda"), params.get("pilot"), rng)
     shared_s = time.perf_counter() - t0
     for m in ms:
         t0 = time.perf_counter()
         draw = rng if draw_rng is None else draw_rng(m)
-        if head == "monte-carlo":
-            indices = draw.integers(0, P.shape[0], size=m)
-        elif head in GREEDY:
+        if head in GREEDY:
             indices = selected[:m]
+        elif head == "arls":
+            indices = sample_proportional(scores, m, draw)
         else:
-            indices = sample_nodes(P, kernel, replace(sampler, m=m), draw, scores)
+            indices = uniform_subsample(P.shape[0], m, head != "uniform", draw)
         t1 = time.perf_counter()
         if head == "monte-carlo":
             rule = QuadratureRule(nodes=P[indices], weights=np.full(m, 1.0 / m))

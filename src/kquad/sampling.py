@@ -30,31 +30,6 @@ class LeverageScores:
     pilot_size: int | None = None
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Node-sampling strategy and its parameters.
-
-    ``lam=None`` and ``pilot_size=None`` select the built-in defaults for the
-    arls strategy: lam = 19 K^2 log(32 n / delta) / n and p = ceil(4 sqrt(n)).
-    ``lambda0`` is the smallest regularization the scores are trusted at.
-    """
-
-    strategy: str = "uniform"  # uniform | uniform-wr | arls
-    m: int = 1
-    lam: float | None = None
-    pilot_size: int | None = None
-    lambda0: float = 0.0
-    delta: float = 0.1
-
-    def __post_init__(self):
-        if self.strategy not in ("uniform", "uniform-wr", "arls"):
-            raise InputError(f"unknown sampling strategy {self.strategy!r}")
-        if self.m < 1:
-            raise InputError("m must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise InputError("delta must lie in (0, 1)")
-
-
 def uniform_subsample(
     n: int, m: int, with_replacement: bool = False, rng: np.random.Generator | None = None
 ) -> np.ndarray:
@@ -77,8 +52,8 @@ def uniform_subsample(
 
 def exact_rls(K, lam: float) -> LeverageScores:
     """Exact ridge leverage scores of a PSD Gram matrix at regularization lam."""
-    if lam <= 0:
-        raise InputError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise InputError(f"lambda must be positive and finite, got {lam}")
     M = np.asarray(K, dtype=np.float64)
     n = M.shape[0]
     eig = eig_sym(M)
@@ -132,8 +107,8 @@ def approx_rls_pilot(
     """
     P = _as_points(X)
     n = P.shape[0]
-    if lam <= 0:
-        raise InputError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise InputError(f"lambda must be positive and finite, got {lam}")
     if not 1 <= pilot_size <= n:
         raise InputError(f"pilot size must lie in [1, {n}]")
     if pilot_indices is None:
@@ -170,39 +145,22 @@ def default_pilot_size(n: int) -> int:
 
 
 def arls_scores(
-    X, kernel: KernelSpec, config: SamplerConfig, rng: np.random.Generator
-) -> LeverageScores:
-    """Pilot leverage scores of the arls strategy at the configured lambda
-    and pilot size: the part of its node draw that does not depend on m."""
-    P = np.asarray(X, dtype=np.float64)
-    n = P.shape[0]
-    lam = config.lam
-    if lam is None:
-        lam = lambda_rule("arls", n, K=sup_norm_bound(kernel), delta=config.delta)
-    if lam < config.lambda0:
-        raise InputError(f"lambda {lam:.3g} is below the trusted floor lambda0 {config.lambda0:.3g}")
-    pilot = config.pilot_size if config.pilot_size is not None else default_pilot_size(n)
-    return approx_rls_pilot(P, kernel, lam, pilot, rng=rng)
-
-
-def sample_nodes(
     X,
     kernel: KernelSpec,
-    config: SamplerConfig,
+    lam: float | None,
+    pilot_size: int | None,
     rng: np.random.Generator,
-    scores: LeverageScores | None = None,
-) -> np.ndarray:
-    """Indices of the quadrature nodes for the configured strategy.
+) -> LeverageScores:
+    """Pilot leverage scores of the arls method: the part of its node draw
+    that does not depend on m.
 
-    For arls, ``scores`` from ``arls_scores`` replaces the pilot draw, so one
-    pilot can serve every m; without them the pilot and the draw share ``rng``.
+    ``lam=None`` and ``pilot_size=None`` select the defaults
+    lam = 19 K^2 log(32 n / delta) / n with delta = 0.1 and p = ceil(4 sqrt(n)).
     """
     P = np.asarray(X, dtype=np.float64)
     n = P.shape[0]
-    if config.strategy == "uniform":
-        return uniform_subsample(n, config.m, with_replacement=False, rng=rng)
-    if config.strategy == "uniform-wr":
-        return uniform_subsample(n, config.m, with_replacement=True, rng=rng)
-    if scores is None:
-        scores = arls_scores(P, kernel, config, rng)
-    return sample_proportional(scores, config.m, rng=rng)
+    if lam is None:
+        lam = lambda_rule("arls", n, K=sup_norm_bound(kernel), delta=0.1)
+    if pilot_size is None:
+        pilot_size = default_pilot_size(n)
+    return approx_rls_pilot(P, kernel, lam, pilot_size, rng=rng)

@@ -4,7 +4,12 @@ Everything here is deliberately brute force and kept separate from the
 library code paths it checks.
 """
 
+import math
+
 import numpy as np
+
+from kquad.errors import InputError, NumericalError
+from kquad.kernels import gram
 
 
 def sobolev_series_1d(order, offsets, terms=1_000_000, chunk=50_000):
@@ -61,3 +66,55 @@ def gaussian_wce_sq_longdouble(sigma, nodes, weights, points, masses, chunk=256)
         d2 = ((Z[i0 : i0 + chunk, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
         total += c[i0 : i0 + chunk] @ (np.exp(-d2 / scale) @ c)
     return total
+
+
+def power_function_bruteforce(kernel, X, selected, x):
+    """Reference squared power function via a dense solve.
+
+    k(x, x) - k_t(x)^T K_t^(-1) k_t(x), the Schur complement of the selected
+    block (equivalently the determinant ratio when x is appended).  Checks the
+    incremental updates of greedy_select.
+    """
+    P = np.asarray(X, dtype=np.float64)
+    if P.ndim == 1:
+        P = P[:, None]
+    sel = np.asarray(selected, dtype=np.intp)
+    point = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
+    self_val = float(gram(kernel, point)[0, 0])
+    if sel.size == 0:
+        return self_val
+    Kt = gram(kernel, P[sel])
+    kt = gram(kernel, P[sel], point)[:, 0]
+    try:
+        solved = np.linalg.solve(Kt, kt)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("selected Gram block is singular") from exc
+    return self_val - float(kt @ solved)
+
+
+def worst_case_witness(rule, target, kernel):
+    """Unit-norm witness function achieving the worst-case error.
+
+    The witness is the normalized difference of the target and rule
+    embeddings, expanded over the union of the target support and the nodes.
+    Returns its expansion coefficients and the achieved integration gap,
+    which must equal ``worst_case_error``.  A zero embedding gap yields zero
+    coefficients and gap 0.
+    """
+    if not target.is_discrete:
+        raise InputError("the witness construction needs a discrete target")
+    pts, masses = target.points, target.masses
+    if pts.shape[1] != rule.nodes.shape[1]:
+        raise InputError("target and rule dimensions differ")
+    union = np.vstack([pts, rule.nodes])
+    coeffs = np.concatenate([masses, -rule.weights])
+    G = gram(kernel, union)
+    norm2 = float(coeffs @ (G @ coeffs))
+    scale = float(np.abs(coeffs) @ (np.abs(G) @ np.abs(coeffs)))
+    if norm2 <= 1e-13 * scale:
+        return np.zeros_like(coeffs), 0.0
+    unit = coeffs / math.sqrt(norm2)
+    n_t = pts.shape[0]
+    target_integral = float(masses @ (G[:n_t] @ unit))
+    rule_integral = float(rule.weights @ (G[n_t:] @ unit))
+    return unit, abs(target_integral - rule_integral)

@@ -18,7 +18,6 @@ from kquad.quadrature import (
     target_moments,
     target_self_product,
     worst_case_error,
-    worst_case_witness,
 )
 from kquad.sampling import approx_rls_pilot, exact_rls, uniform_subsample
 from kquad.spectral import (
@@ -29,7 +28,7 @@ from kquad.spectral import (
     rate_slope,
 )
 
-from oracles import sobolev_series_1d
+from oracles import sobolev_series_1d, worst_case_witness
 
 
 def report(num, ok, detail):

@@ -21,7 +21,7 @@ from kquad.bench import (
 )
 from kquad.kernels import parse_kernel
 from kquad.quadrature import TargetMeasure, compress, optimal_weights, worst_case_error
-from kquad.sampling import SamplerConfig, arls_scores, sample_nodes
+from kquad.sampling import arls_scores, sample_proportional, uniform_subsample
 
 
 def small_config(**overrides):
@@ -184,15 +184,12 @@ def test_reported_error_never_beats_optimal_weights():
     for row in res.rows:
         mid = _METHOD_IDS[row.method]
         draw = derive_rng(cfg.master_seed, mid, row.m, row.trial)
-        if row.method == "monte-carlo":
-            idx = draw.integers(0, 200, size=row.m)
+        if row.method == "arls":  # one pilot per trial, from the score stream
+            pilot_rng = derive_rng(cfg.master_seed, mid, row.trial)
+            scores = arls_scores(ds.points, kern, None, None, pilot_rng)
+            idx = sample_proportional(scores, row.m, draw)
         else:
-            sampler = SamplerConfig(strategy=row.method, m=row.m)
-            scores = None
-            if row.method == "arls":  # one pilot per trial, from the score stream
-                pilot_rng = derive_rng(cfg.master_seed, mid, row.trial)
-                scores = arls_scores(ds.points, kern, sampler, pilot_rng)
-            idx = sample_nodes(ds.points, kern, sampler, draw, scores)
+            idx = uniform_subsample(200, row.m, row.method != "uniform", draw)
         best = optimal_weights(kern, ds.points[idx], target)
         assert row.error >= worst_case_error(best, target, kern) - 1e-10
 

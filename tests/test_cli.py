@@ -235,8 +235,13 @@ def _rates_summary(tmp_path):
         ("run", "gaussian_mixture:k=0"),
         ("run", "uniform_cube:d=-1"),
         ("run", "uniform_cube:d=0"),
+        ("run-methods", "arls:lambda=nan"),
         ("compress", "arls:lambda=abc"),
         ("compress", "arls:pilot=1.5"),
+        ("compress", "arls:lambda=nan"),
+        ("compress", "arls:lambda=inf"),
+        ("compress", "arls:lambda=-1"),
+        ("compress", "arls:lambda=0"),
         ("compress", "uniform:foo=1"),
         ("compress", "uniform-wr:x=1"),
         ("compress", "monte-carlo:x=1"),
@@ -251,6 +256,8 @@ def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
         dataset = spec.format(csv=path)
         config = write_run_config(tmp_path, dataset=dataset, kernel="gaussian:sigma=1", target="data")
         argv = ["run", str(config)]
+    elif command == "run-methods":
+        argv = ["run", str(write_run_config(tmp_path, methods=spec))]
     elif command == "compress":
         argv = [
             "compress",
@@ -265,3 +272,16 @@ def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
         argv = ["rates", "--summary", str(_rates_summary(tmp_path)), "--model", spec]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [("uniform,16,abc,0.0,0.0", "non-numeric"), ("uniform,16,0.05,0.0", "4 cells")],
+)
+def test_rates_malformed_summary_exit_code(tmp_path, capsys, row, problem):
+    summary = _rates_summary(tmp_path)
+    summary.write_text(summary.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+    argv = ["rates", "--summary", str(summary), "--model", "sobolev:s=1,d=1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {summary}:4: ") and problem in err

@@ -3,7 +3,7 @@ import pytest
 
 from kquad import InputError
 from kquad.bench import gen_synthetic
-from kquad.greedy import greedy_select, power_function_bruteforce
+from kquad.greedy import greedy_select
 from kquad.kernels import gaussian, gram, periodic_sobolev
 from kquad.quadrature import (
     TargetMeasure,
@@ -14,7 +14,7 @@ from kquad.quadrature import (
 )
 from kquad.sampling import uniform_subsample
 
-from oracles import dense_interpolation_residual, projected_gram
+from oracles import dense_interpolation_residual, power_function_bruteforce, projected_gram
 
 
 def test_p_greedy_first_pick_is_lowest_index():

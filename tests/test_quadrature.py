@@ -18,11 +18,10 @@ from kquad.quadrature import (
     target_moments,
     target_self_product,
     worst_case_error,
-    worst_case_witness,
 )
 from kquad.sampling import uniform_subsample
 
-from oracles import gaussian_wce_sq_longdouble
+from oracles import gaussian_wce_sq_longdouble, worst_case_witness
 
 
 def uniform_target(X):
@@ -328,6 +327,16 @@ def test_compress_deterministic():
     assert np.array_equal(r1.nodes, r2.nodes)
     assert np.array_equal(r1.weights, r2.weights)
     assert np.array_equal(r1.indices, r2.indices)
+
+
+def test_compress_node_draws():
+    X = np.random.default_rng(9).standard_normal((50, 2))
+    kern = gaussian(1.0)
+    assert len(set(compress(X, kern, "uniform", 10, rng=1).indices.tolist())) == 10
+    for method in ("uniform-wr", "monte-carlo"):  # with replacement, so m may exceed n
+        assert len(compress(X, kern, method, 60, rng=1).indices) == 60
+    arls = compress(X, kern, "arls", 10, rng=1).indices
+    assert len(arls) == 10 and np.all((0 <= arls) & (arls < 50))
 
 
 def test_rule_csv_round_trip(tmp_path):

@@ -5,10 +5,8 @@ from kquad import InputError, NumericalError
 from kquad.kernels import gaussian, gram
 from kquad.numerics import eig_sym
 from kquad.sampling import (
-    SamplerConfig,
     approx_rls_pilot,
     exact_rls,
-    sample_nodes,
     sample_proportional,
     uniform_subsample,
 )
@@ -93,8 +91,9 @@ def test_exact_rls_whitened_feature_oracle():
 def test_exact_rls_rejects_indefinite():
     with pytest.raises(NumericalError):
         exact_rls(np.diag([1.0, -1.0]), 0.1)
-    with pytest.raises(InputError):
-        exact_rls(np.eye(2), 0.0)
+    for lam in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            exact_rls(np.eye(2), lam)
 
 
 def test_pilot_full_matches_exact():
@@ -155,8 +154,9 @@ def test_pilot_validation():
     X = np.zeros((4, 1))
     with pytest.raises(InputError):
         approx_rls_pilot(X, gaussian(1.0), 0.1, pilot_size=5)
-    with pytest.raises(InputError):
-        approx_rls_pilot(X, gaussian(1.0), -0.1, pilot_size=2)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            approx_rls_pilot(X, gaussian(1.0), lam, pilot_size=2)
 
 
 def test_sample_proportional_point_mass():
@@ -187,33 +187,3 @@ def test_sample_proportional_all_zero():
     with pytest.raises(InputError):
         sample_proportional(zero, 2)
 
-
-def test_sample_nodes_strategies():
-    rng_pts = np.random.default_rng(9)
-    X = rng_pts.standard_normal((50, 2))
-    kern = gaussian(1.0)
-    wor = sample_nodes(X, kern, SamplerConfig(strategy="uniform", m=10), np.random.default_rng(1))
-    assert len(set(wor.tolist())) == 10
-    wr = sample_nodes(X, kern, SamplerConfig(strategy="uniform-wr", m=60), np.random.default_rng(1))
-    assert len(wr) == 60
-    arls = sample_nodes(X, kern, SamplerConfig(strategy="arls", m=10), np.random.default_rng(1))
-    assert len(arls) == 10 and np.all((0 <= arls) & (arls < 50))
-    # deterministic given the stream
-    again = sample_nodes(X, kern, SamplerConfig(strategy="arls", m=10), np.random.default_rng(1))
-    assert np.array_equal(arls, again)
-
-
-def test_sampler_config_validation():
-    with pytest.raises(InputError):
-        SamplerConfig(strategy="dpp", m=4)
-    with pytest.raises(InputError):
-        SamplerConfig(strategy="uniform", m=0)
-    with pytest.raises(InputError):
-        SamplerConfig(strategy="arls", m=4, delta=1.5)
-
-
-def test_lambda0_floor_enforced():
-    X = np.random.default_rng(10).standard_normal((20, 2))
-    cfg = SamplerConfig(strategy="arls", m=4, lam=1e-6, lambda0=1e-3)
-    with pytest.raises(InputError):
-        sample_nodes(X, gaussian(1.0), cfg, np.random.default_rng(0))
