@@ -1,8 +1,11 @@
 """Experiment harness: datasets, method sweeps, timing, and CSV output.
 
 A sweep runs one cell per (method, trial).  A cell builds the method's rule
-at every m of the grid through ``quadrature.compress_grid`` and evaluates
-each rule's exact worst-case error against the configured target.  The work
+at every m of the grid through ``quadrature.compress_grid``, which gives each
+rule its exact worst-case error against the configured target.  With
+``target = data`` the run makes one Theta(n^2) pass, the data's kernel mean,
+from which every rule's moments and error come; with ``target = unit-cube``
+it makes none unless an f or f/P greedy method needs that mean.  The work
 that does not depend on m is done once per cell: arls draws its pilot
 leverage scores from a score stream keyed by (master_seed, method, trial),
 then draws each m's nodes from a draw stream keyed by (master_seed, method,
@@ -17,6 +20,7 @@ the ``sample_time_s`` of the cell's first (smallest) m.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,8 +35,6 @@ from .quadrature import (
     TargetMeasure,
     compress_grid,
     target_moments,
-    target_self_product,
-    worst_case_error,
 )
 from .specs import parse_spec
 
@@ -270,17 +272,11 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         rng=derive_rng(config.master_seed, _BANDWIDTH_STREAM),
         median_subset=config.median_subset,
     )
-    if config.target == "unit-cube":
-        target = TargetMeasure.unit_cube(points.shape[1])
-    else:
-        target = TargetMeasure.discrete(points)
-    self_product = target_self_product(kernel, target)
-
-    # the f and f/P greedy criteria share one kernel mean of the data
-    needs_means = any(GREEDY.get(head, "P") != "P" for head in heads.values())
-    f_means = (
-        target_moments(kernel, points, TargetMeasure.discrete(points)) if needs_means else None
-    )
+    # None is the discrete measure on the points, whose error terms all come
+    # from the data's kernel mean; the f and f/P greedy criteria share it too
+    target = TargetMeasure.unit_cube(points.shape[1]) if config.target == "unit-cube" else None
+    needs_kme = target is None or any(GREEDY.get(head, "P") != "P" for head in heads.values())
+    kme = target_moments(kernel, points, TargetMeasure.discrete(points)) if needs_kme else None
 
     def run_cell(method: str, trial: int | None) -> list[ResultRow]:
         mid, tkey = _METHOD_IDS[heads[method]], (() if trial is None else (trial,))
@@ -291,22 +287,20 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
             grid,
             derive_rng(config.master_seed, mid, *tkey),  # score stream
             target,
-            f_means,
+            kme,
             draw_rng=lambda m: derive_rng(config.master_seed, mid, m, *tkey),
         )
         rows = []
         for m in grid:
             try:
                 rule = next(rules)
-                error = worst_case_error(rule, target, kernel, self_product=self_product)
             except (InputError, NumericalError) as exc:
                 raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
             ts, tw = rule.sample_time_s, rule.weight_time_s
-            del rule  # compress_grid builds the next rule only once this one is freed
             if trial is None:  # deterministic method: replicate across trial rows
-                rows += [ResultRow(method, m, 0, error, ts, tw, ts + tw)] * config.trials
+                rows += [ResultRow(method, m, 0, rule.error, ts, tw, ts + tw)] * config.trials
             else:
-                rows.append(ResultRow(method, m, trial, error, ts, tw, ts + tw))
+                rows.append(ResultRow(method, m, trial, rule.error, ts, tw, ts + tw))
         return rows
 
     tasks = []
@@ -391,9 +385,12 @@ def read_summary_csv(path) -> list:
             raise InputError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
         method, m, med, std, tmed = cells
         try:
-            out.append(SummaryRow(method, int(m), float(med), float(std), float(tmed)))
+            row = SummaryRow(method, int(m), float(med), float(std), float(tmed))
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, (row.error_median, row.error_std, row.time_median))):
+            raise InputError(f"{path}:{lineno}: non-finite value in {line!r}")
+        out.append(row)
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import bench, spectral
 from .errors import InputError, NumericalError
 from .kernels import parse_kernel
-from .quadrature import METHODS, TargetMeasure, compress, save_rule, worst_case_error
+from .quadrature import METHODS, compress, save_rule
 from .specs import parse_spec
 
 
@@ -57,12 +57,9 @@ def _cmd_compress(args) -> int:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     points = bench.load_csv(args.input, standardize=args.standardize).points
     kernel = parse_kernel(args.kernel, points=points, rng=np.random.default_rng(args.seed))
-    # one target object, so worst_case_error reuses the weight solve's v and K_m
-    target = TargetMeasure.discrete(points)
-    rule = compress(points, kernel, args.method, args.m, args.seed, target)
+    rule = compress(points, kernel, args.method, args.m, args.seed)
     save_rule(rule, args.output)
-    err = worst_case_error(rule, target, kernel)
-    print(f"wrote {len(rule)} nodes to {args.output}; worst-case error {err:.6g}")
+    print(f"wrote {len(rule)} nodes to {args.output}; worst-case error {rule.error:.6g}")
     return 0
 
 

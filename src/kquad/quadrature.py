@@ -19,7 +19,7 @@ import logging
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class QuadratureRule:
     indices: np.ndarray | None = None  # source indices when subsampled
     sample_time_s: float | None = None
     weight_time_s: float | None = None
-    # Set by optimal_weights so that worst_case_error can reuse v and K_m.
-    _solve: _SolveTerms | None = field(default=None, init=False, repr=False, compare=False)
+    error: float | None = None  # worst-case error against the target it was built for
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -74,17 +73,6 @@ class QuadratureRule:
 
     def __len__(self):
         return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class _SolveTerms:
-    """Moments v and node Gram K_m of one weight solve, with what they depend on."""
-
-    kernel: KernelSpec
-    target: TargetMeasure
-    nodes: np.ndarray
-    moments: np.ndarray
-    gram: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,16 +168,11 @@ def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> Quadrat
     The solve is ``numerics.pinv_apply``, a pivoted Cholesky of K_m that
     stops at the numerical rank.  The weights are the minimum-norm solution,
     so they live in the row space of K_m and duplicate nodes share their
-    weight evenly rather than being deduplicated.  The rule keeps v and K_m,
-    which ``worst_case_error`` reuses when called with the same kernel and
-    target.
+    weight evenly rather than being deduplicated.
     """
     N = _as_points(nodes)
     v = target_moments(kernel, N, target)
-    Km = gram(kernel, N)
-    rule = QuadratureRule(nodes=N, weights=pinv_apply(Km, v))
-    rule._solve = _SolveTerms(kernel, target, rule.nodes, v, Km)
-    return rule
+    return QuadratureRule(nodes=N, weights=pinv_apply(gram(kernel, N), v))
 
 
 def integrate(rule: QuadratureRule, f_at_nodes) -> float:
@@ -200,34 +183,25 @@ def integrate(rule: QuadratureRule, f_at_nodes) -> float:
     return float(rule.weights @ f)
 
 
-def worst_case_error(
-    rule: QuadratureRule,
-    target: TargetMeasure,
-    kernel: KernelSpec,
-    self_product: float | None = None,
-) -> float:
+def worst_case_error(rule: QuadratureRule, target: TargetMeasure, kernel: KernelSpec) -> float:
     """Exact worst-case integration error over the RKHS unit ball.
 
-    ``self_product`` lets callers reuse the target's double integral, which
-    is the only Theta(n^2) piece.  The moments v and node Gram K_m are taken
-    from the weight solve when the rule came from ``optimal_weights`` with
-    this kernel and target; they are the same arrays a fresh evaluation
-    computes, so the error is too.  Small negative squared errors (above
-    -1e-8) from cancellation are clamped to zero; anything lower raises.
+    A fresh evaluation of the target's self-product (Theta(n^2) kernel
+    evaluations for a discrete target), the moments of the rule's nodes and
+    their Gram.  Rules built by ``compress`` carry this error as
+    ``rule.error`` already.
     """
-    T = target_self_product(kernel, target) if self_product is None else float(self_product)
-    solve = rule._solve
-    if (
-        solve is not None
-        and solve.kernel == kernel
-        and solve.target is target
-        and solve.nodes is rule.nodes
-    ):
-        v, Km = solve.moments, solve.gram
-    else:
-        v = target_moments(kernel, rule.nodes, target)
-        Km = gram(kernel, rule.nodes)
-    w = rule.weights
+    N = rule.nodes
+    T = target_self_product(kernel, target)
+    return _error(T, rule.weights, target_moments(kernel, N, target), gram(kernel, N))
+
+
+def _error(T: float, w: np.ndarray, v: np.ndarray, Km: np.ndarray) -> float:
+    """E = sqrt(T - 2 w.v + w.K_m w), the three terms summed by fsum.
+
+    Small negative squared errors (above -1e-8) from cancellation are
+    clamped to zero; anything lower raises.
+    """
     e2 = math.fsum([T, -2.0 * float(w @ v), float(w @ (Km @ w))])
     if e2 < -1e-8:
         raise NumericalError(f"squared worst-case error {e2:.3e} is negative beyond tolerance")
@@ -256,7 +230,7 @@ def compress(
     m: int,
     rng=0,
     target: TargetMeasure | None = None,
-    f_means=None,
+    kme=None,
 ) -> QuadratureRule:
     """Compress the empirical measure on X into an m-node rule by ``method``.
 
@@ -268,11 +242,12 @@ def compress(
     ``arls:lambda=<float|auto>,pilot=<int|auto>`` in proportion to
     approximate ridge leverage scores, and the greedy methods select them by
     their ``greedy_select`` criterion.  The f and f/P criteria interpolate
-    the data's kernel mean ``f_means``, computed here unless given.  ``rng``
-    is a Generator or a seed.  Wall times of the two phases are recorded on
-    the rule.  This is ``compress_grid`` at the single m.
+    the data's kernel mean ``kme``, computed here when needed unless given.
+    ``rng`` is a Generator or a seed.  The rule carries its worst-case
+    ``error`` against the target and the wall times of the two phases.  This
+    is ``compress_grid`` at the single m.
     """
-    return next(compress_grid(X, kernel, method, (m,), rng, target, f_means))
+    return next(compress_grid(X, kernel, method, (m,), rng, target, kme))
 
 
 def compress_grid(
@@ -282,10 +257,19 @@ def compress_grid(
     ms,
     rng=0,
     target: TargetMeasure | None = None,
-    f_means=None,
+    kme=None,
     draw_rng=None,
 ) -> Iterator[QuadratureRule]:
     """Yield the rule ``compress`` builds at each m of ``ms``, in order.
+
+    Each rule carries its worst-case ``error``.  For the default target, the
+    discrete measure on X with masses a = 1/n, every rule's moments and the
+    target's self-product come from one kernel mean of the data,
+    ``kme = K a`` (computed here unless given): the moments are
+    ``kme[indices]`` and the self-product is ``a . kme``.  An explicit target
+    takes its moments from ``target_moments`` and its self-product from
+    ``target_self_product``.  A rule's node Gram is dropped once its error
+    is computed.
 
     The work that does not depend on m is done once: the arls pilot scores
     are drawn from ``rng``, and a greedy method runs once at max(ms), the
@@ -305,14 +289,20 @@ def compress_grid(
         return
     P = _as_points(X)
     rng = np.random.default_rng(rng)
+    if kme is None and (target is None or GREEDY.get(head, "P") != "P"):
+        kme = target_moments(kernel, P, TargetMeasure.discrete(P))
+    if kme is not None:
+        kme = np.asarray(kme, dtype=np.float64).ravel()
+        if kme.shape[0] != P.shape[0]:
+            raise InputError(f"expected {P.shape[0]} kernel-mean values, got {kme.shape[0]}")
     if target is None:
-        target = TargetMeasure.discrete(P)
-    if f_means is None and GREEDY.get(head, "P") != "P":
-        f_means = target_moments(kernel, P, TargetMeasure.discrete(P))
+        T = math.fsum(TargetMeasure.discrete(P).masses * kme)
+    else:
+        T = target_self_product(kernel, target)
 
     t0 = time.perf_counter()
     if head in GREEDY:
-        selected = greedy_select(P, kernel, f_means, max(ms), GREEDY[head]).selected
+        selected = greedy_select(P, kernel, kme, max(ms), GREEDY[head]).selected
         short = [m for m in ms if m > len(selected)]
         if short:
             _LOG.warning(
@@ -333,17 +323,22 @@ def compress_grid(
         else:
             indices = uniform_subsample(P.shape[0], m, head != "uniform", draw)
         t1 = time.perf_counter()
-        if head == "monte-carlo":
-            rule = QuadratureRule(nodes=P[indices], weights=np.full(m, 1.0 / m))
-        else:
-            rule = optimal_weights(kernel, P[indices], target)
+        nodes = P[indices]
+        v = kme[indices] if target is None else target_moments(kernel, nodes, target)
+        Km = gram(kernel, nodes)
+        weights = np.full(m, 1.0 / m) if head == "monte-carlo" else pinv_apply(Km, v)
         t2 = time.perf_counter()
-        rule.indices = indices
-        rule.sample_time_s = shared_s + t1 - t0
-        rule.weight_time_s = t2 - t1
+        error = _error(T, weights, v, Km)
+        del Km  # free this K_m before the next, larger rule builds its own
+        yield QuadratureRule(
+            nodes=nodes,
+            weights=weights,
+            indices=indices,
+            sample_time_s=shared_s + t1 - t0,
+            weight_time_s=t2 - t1,
+            error=error,
+        )
         shared_s = 0.0
-        yield rule
-        del rule  # free this rule's K_m before building the next, larger one
 
 
 def save_rule(rule: QuadratureRule, path) -> None:

@@ -258,6 +258,8 @@ def rate_slope(m_values, errors) -> tuple[float, float, float]:
     y = np.log(e)
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
+    if sxx == 0.0:
+        raise InputError("need at least two distinct m values for a log-log fit")
     sxy = float(np.sum((x - xm) * (y - ym)))
     slope = sxy / sxx
     intercept = ym - slope * xm

@@ -276,7 +276,14 @@ def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
 
 @pytest.mark.parametrize(
     "row, problem",
-    [("uniform,16,abc,0.0,0.0", "non-numeric"), ("uniform,16,0.05,0.0", "4 cells")],
+    [
+        ("uniform,16,abc,0.0,0.0", "non-numeric"),
+        ("uniform,16,0.05,0.0", "4 cells"),
+        ("uniform,32,nan,0.0,0.0", "non-finite"),
+        ("uniform,32,0.02,0.0,inf", "non-finite"),
+        # three rows, all at one m: no log-log slope to fit
+        pytest.param("arls,16,0.1,0.0,0.0\n" * 3, "distinct m", id="one-m-only"),
+    ],
 )
 def test_rates_malformed_summary_exit_code(tmp_path, capsys, row, problem):
     summary = _rates_summary(tmp_path)
@@ -284,4 +291,5 @@ def test_rates_malformed_summary_exit_code(tmp_path, capsys, row, problem):
     argv = ["rates", "--summary", str(summary), "--model", "sobolev:s=1,d=1"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {summary}:4: ") and problem in err
+    where = f"{summary}:4: " if row.count("\n") == 0 else ""
+    assert err.startswith(f"error: {where}") and problem in err

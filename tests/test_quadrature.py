@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kquad import InputError, NumericalError, quadrature
-from kquad.kernels import evaluate, gaussian, gram, periodic_sobolev
+from kquad.kernels import evaluate, gaussian, gram, laplacian, periodic_sobolev
 from kquad.numerics import eig_sym
 from kquad.quadrature import (
+    METHODS,
     QuadratureRule,
     TargetMeasure,
     compress,
@@ -22,6 +25,8 @@ from kquad.quadrature import (
 from kquad.sampling import uniform_subsample
 
 from oracles import gaussian_wce_sq_longdouble, worst_case_witness
+
+EPS = np.finfo(np.float64).eps
 
 
 def uniform_target(X):
@@ -128,14 +133,15 @@ def test_worst_case_error_zero_weights_unit_cube():
     assert abs(worst_case_error(rule, cube, kern) - 1.0) < 1e-12
 
 
-def test_worst_case_error_negative_beyond_tolerance_raises():
+def test_worst_case_error_negative_beyond_tolerance_raises(monkeypatch):
     rng = np.random.default_rng(6)
     X = rng.standard_normal((8, 1))
     target = uniform_target(X)
     rule = optimal_weights(gaussian(1.0), X[:3], target)
+    # a self-product far below the true one drives E^2 negative
+    monkeypatch.setattr(quadrature, "target_self_product", lambda kernel, target: -1.0)
     with pytest.raises(NumericalError):
-        # a self-product far below the true one drives E^2 negative
-        worst_case_error(rule, target, gaussian(1.0), self_product=-1.0)
+        worst_case_error(rule, target, gaussian(1.0))
 
 
 def floor_case():
@@ -165,38 +171,95 @@ def test_worst_case_error_matches_longdouble_oracle(optimal):
         rule = QuadratureRule(nodes=X[idx], weights=np.full(len(idx), 1.0 / len(idx)))
     e2 = worst_case_error(rule, target, kern) ** 2
     exact = gaussian_wce_sq_longdouble(2.0, rule.nodes, rule.weights, X, target.masses)
-    # float64 noise: one rounding unit of the magnitudes that cancel in E^2
+    assert abs(e2 - float(exact)) <= rounding_unit(kern, rule, target)
+
+
+def rounding_unit(kern, rule, target):
+    """float64 noise of E^2: one rounding unit of the magnitudes that cancel in it."""
     w = np.abs(rule.weights)
     scale = (
         target_self_product(kern, target)
         + 2.0 * w @ np.abs(target_moments(kern, rule.nodes, target))
         + w @ np.abs(gram(kern, rule.nodes)) @ w
     )
-    assert abs(e2 - float(exact)) <= np.finfo(np.float64).eps * scale
+    return EPS * scale
 
 
-def test_worst_case_error_reuses_the_weight_solve(monkeypatch):
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((300, 2))
-    kern = gaussian(1.5)
+def assert_same_squared_error(e_a, e_b, allowed):
+    """|e_a^2 - e_b^2| <= allowed, plus the half ulp each square root rounds E by."""
+    assert abs(e_a - e_b) * (e_a + e_b) <= allowed + EPS * (e_a**2 + e_b**2)
+
+
+# Random data and a positive kernel (Gaussian or Laplacian, sigma 1/4 to 4,
+# so k(x, x) = 1).  A kernel mean is a sum of n positive terms, each of whose
+# summation orders is within n eps of the exact sum, relatively; so the
+# gathered and the per-rule moments differ by up to 2 n eps, and the errors
+# computed from them by up to 4 n rounding units.
+CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 48),
+    d=st.integers(1, 3),
+    log2_sigma=st.integers(-2, 2),
+    laplace=st.booleans(),
+)
+
+
+def random_case(seed, n, d, log2_sigma, laplace):
+    rng = np.random.default_rng(seed)
+    kern = (laplacian if laplace else gaussian)(2.0**log2_sigma)
+    return rng, rng.standard_normal((n, d)), kern
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CASES, method=st.sampled_from(tuple(METHODS)), m_frac=st.floats(0.0, 1.0))
+def test_compress_error_equals_a_fresh_evaluation(seed, n, d, log2_sigma, laplace, method, m_frac):
+    _, X, kern = random_case(seed, n, d, log2_sigma, laplace)
+    rule = compress(X, kern, method, max(1, round(m_frac * n)), rng=seed)
     target = uniform_target(X)
-    rule = optimal_weights(kern, X[rng.choice(300, 40)], target)  # with duplicates
-    fresh = QuadratureRule(nodes=rule.nodes.copy(), weights=rule.weights.copy())
-    T = target_self_product(kern, target)
-    expected = worst_case_error(fresh, target, kern, self_product=T)
+    fresh = worst_case_error(rule, target, kern)
+    assert rule.error >= 0.0
+    assert_same_squared_error(rule.error, fresh, 4 * n * rounding_unit(kern, rule, target))
 
-    def no_recompute(*args, **kwargs):
-        raise AssertionError("moments or node Gram recomputed")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "gram", no_recompute)
-        patch.setattr(quadrature, "target_moments", no_recompute)
-        assert worst_case_error(rule, target, kern, self_product=T) == expected
-    # another kernel or target is evaluated afresh, not from the cache
-    other = gaussian(0.5)
-    assert worst_case_error(rule, target, other) == worst_case_error(fresh, target, other)
-    half = TargetMeasure.discrete(X[:150])
-    assert worst_case_error(rule, half, kern) == worst_case_error(fresh, half, kern)
+@settings(max_examples=60, deadline=None)
+@given(**CASES, m=st.integers(1, 64), optimal=st.booleans())
+def test_error_is_nonnegative_and_invariant_under_permutation(
+    seed, n, d, log2_sigma, laplace, m, optimal
+):
+    rng, X, kern = random_case(seed, n, d, log2_sigma, laplace)
+    target = uniform_target(X)
+    nodes = X[rng.integers(0, n, size=m)]  # duplicates included
+    if optimal:
+        rule = optimal_weights(kern, nodes, target)
+    else:
+        rule = QuadratureRule(nodes=nodes, weights=rng.standard_normal(m))
+    perm = rng.permutation(m)
+    shuffled = QuadratureRule(nodes=rule.nodes[perm], weights=rule.weights[perm])
+    e, e_shuffled = worst_case_error(rule, target, kern), worst_case_error(shuffled, target, kern)
+    assert e >= 0.0 and e_shuffled >= 0.0
+    # the moments and the m-term sums differ only in their rounding order
+    allowed = 2 * (n + m) * rounding_unit(kern, rule, target)
+    assert_same_squared_error(e, e_shuffled, allowed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CASES)
+def test_full_support_rule_has_zero_error(seed, n, d, log2_sigma, laplace):
+    _, X, kern = random_case(seed, n, d, log2_sigma, laplace)
+    rule = compress(X, kern, "uniform", n, rng=seed)
+    # the pivot cutoff n eps max k(x, x) bounds what the truncated solve leaves
+    assert rule.error**2 <= n * EPS + n * rounding_unit(kern, rule, uniform_target(X))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**{**CASES, "n": st.integers(1, 1500)}, k=st.integers(1, 64))
+def test_gathered_moments_equal_target_moments(seed, n, d, log2_sigma, laplace, k):
+    rng, X, kern = random_case(seed, n, d, log2_sigma, laplace)
+    target = uniform_target(X)
+    kme = target_moments(kern, X, target)
+    idx = rng.integers(0, n, size=k)  # duplicates included
+    v = target_moments(kern, X[idx], target)
+    assert np.all(np.abs(kme[idx] - v) <= 2 * n * EPS * v)
 
 
 def test_witness_matches_error_formula():

@@ -224,6 +224,8 @@ def test_rate_slope_validation():
         rate_slope([8, 16, 32], [1.0, 0.0, 1.0])
     with pytest.raises(InputError):
         rate_slope([8, 16], [1.0, 1.0])
+    with pytest.raises(InputError):
+        rate_slope([16, 16, 16], [0.1, 0.2, 0.3])  # one m: no slope
 
 
 def test_fit_decay_model_recovers_planted():
