@@ -41,14 +41,22 @@ def eig_sym(A) -> SymmetricEigen:
     return SymmetricEigen(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
-def default_pinv_tol(size: int) -> float:
-    """Relative pivot cutoff of pinv_apply: size * float64 eps.
+def _pivoted_cholesky(S: np.ndarray, rel_tol: float | None = None):
+    """Pivoted Cholesky P^T S P = F F^T of a fresh symmetric array S, which
+    ``dpstrf`` overwrites through its Fortran-ordered transpose (no copy).
 
-    This is LAPACK's own default for ``dpstrf``: a residual diagonal at or
-    below ``size * eps * max diag(A)`` is indistinguishable from the rounding
-    left by the ``size`` elimination steps before it.
+    It stops once the largest residual diagonal is at most
+    ``rel_tol * max diag(S)``; the default ``size * eps`` is LAPACK's own, the
+    rounding left by the elimination steps before it.  Returns the
+    lower-trapezoidal size x r factor F, r the numerical rank, and the pivots.
     """
-    return size * float(np.finfo(np.float64).eps)
+    if rel_tol is None:
+        rel_tol = S.shape[0] * float(np.finfo(np.float64).eps)
+    diag_max = float(np.max(np.diag(S), initial=0.0))
+    c, piv, rank, info = dpstrf(S.T, tol=rel_tol * diag_max, lower=1, overwrite_a=1)
+    if info < 0:
+        raise NumericalError(f"dpstrf rejected argument {-info}")
+    return np.tril(c[:, :rank]), piv - 1
 
 
 def pinv_apply(A, b, rel_tol: float | None = None) -> np.ndarray:
@@ -69,30 +77,21 @@ def pinv_apply(A, b, rel_tol: float | None = None) -> np.ndarray:
         raise InputError("pinv_apply expects a square matrix")
     if M.shape[0] != rhs.shape[0]:
         raise InputError(f"shape mismatch: {M.shape} vs {rhs.shape}")
-    if rel_tol is None:
-        rel_tol = default_pinv_tol(M.shape[0])
-    if not 0.0 < rel_tol < 1.0:
+    if rel_tol is not None and not 0.0 < rel_tol < 1.0:
         raise InputError("rel_tol must lie in (0, 1)")
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise InputError("matrix or right-hand side contains non-finite entries")
-    S = 0.5 * (M + M.T)
-    diag_max = float(np.max(np.diag(S)))
-    if diag_max <= 0.0:
+    F, perm = _pivoted_cholesky(0.5 * (M + M.T), rel_tol)
+    rank = F.shape[1]
+    if rank == 0:
         return np.zeros_like(rhs)
-    # S is a fresh symmetric array, so its transpose is a Fortran-ordered
-    # view that LAPACK can factor in place without another copy.
-    c, piv, rank, info = dpstrf(S.T, tol=rel_tol * diag_max, lower=1, overwrite_a=1)
-    if info < 0:
-        raise NumericalError(f"dpstrf rejected argument {-info}")
-    perm = piv - 1
     y = rhs[perm]
     out = np.empty_like(rhs)
     if rank == M.shape[0]:
-        L = np.tril(c)
-        z = solve_triangular(L, y, lower=True, check_finite=False)
-        out[perm] = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+        z = solve_triangular(F, y, lower=True, check_finite=False)
+        out[perm] = solve_triangular(F, z, lower=True, trans="T", check_finite=False)
         return out
-    Q, R = qr(np.tril(c[:, :rank]), mode="economic", check_finite=False)
+    Q, R = qr(F, mode="economic", check_finite=False)
     t = solve_triangular(R, Q.T @ y, lower=False, check_finite=False)
     out[perm] = Q @ solve_triangular(R, t, lower=False, trans="T", check_finite=False)
     return out

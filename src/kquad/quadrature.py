@@ -27,10 +27,10 @@ from .errors import InputError, NumericalError
 from .greedy import greedy_select
 from .kernels import KernelSpec, _as_points, gram
 from .numerics import pinv_apply
-from .sampling import arls_scores, sample_proportional, uniform_subsample
+from .sampling import approx_rls_pilot, sample_proportional, uniform_subsample
 from .specs import optional, parse_spec
 
-# Row block for the Theta(n^2) double sum and the discrete target moments.
+# Row block of the chunked kernel matvec.
 _CHUNK_ROWS = 1024
 
 # Method spec schema: every way to build a rule, in stream-id order.
@@ -138,28 +138,24 @@ def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarr
     if not target.is_discrete:
         _check_analytic(kernel, target, dim=N.shape[1])
         return np.ones(N.shape[0])
-    v = np.zeros(N.shape[0])
-    pts, masses = target.points, target.masses
-    for j0 in range(0, pts.shape[0], _CHUNK_ROWS):
-        j1 = min(j0 + _CHUNK_ROWS, pts.shape[0])
-        v += gram(kernel, N, pts[j0:j1]) @ masses[j0:j1]
-    return v
+    return _kernel_matvec(kernel, N, target.points, target.masses)
 
 
 def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
-    """Double integral of the kernel against the target: int int k d(rho x rho)."""
+    """Double integral of the kernel against the target: int int k d(rho x rho),
+    for a discrete target fsum(masses * moments of its points), as in compress_grid."""
     if not target.is_discrete:
         _check_analytic(kernel, target)
         return 1.0
-    return _weighted_sum(kernel, target.points, target.masses, target.points, target.masses)
+    return math.fsum(target.masses * target_moments(kernel, target.points, target))
 
 
-def _weighted_sum(kernel: KernelSpec, X, a, Y, b) -> float:
-    """a^T K(X, Y) b over row blocks of X, the partial sums combined by fsum."""
-    return math.fsum(
-        float(a[i0 : i0 + _CHUNK_ROWS] @ (gram(kernel, X[i0 : i0 + _CHUNK_ROWS], Y) @ b))
-        for i0 in range(0, X.shape[0], _CHUNK_ROWS)
-    )
+def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
+    """K(X, Y) b, streamed over row blocks of Y."""
+    v = np.zeros(X.shape[0])
+    for j0 in range(0, Y.shape[0], _CHUNK_ROWS):
+        v += gram(kernel, X, Y[j0 : j0 + _CHUNK_ROWS]) @ b[j0 : j0 + _CHUNK_ROWS]
+    return v
 
 
 def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> QuadratureRule:
@@ -215,9 +211,9 @@ def mmd(kernel: KernelSpec, points_a, weights_a, points_b, weights_b) -> float:
     b = np.asarray(weights_b, dtype=np.float64).ravel()
     m2 = math.fsum(
         [
-            _weighted_sum(kernel, A, a, A, a),
-            -2.0 * _weighted_sum(kernel, A, a, B, b),
-            _weighted_sum(kernel, B, b, B, b),
+            math.fsum(a * _kernel_matvec(kernel, A, A, a)),
+            -2.0 * math.fsum(a * _kernel_matvec(kernel, A, B, b)),
+            math.fsum(b * _kernel_matvec(kernel, B, B, b)),
         ]
     )
     return math.sqrt(max(m2, 0.0))
@@ -311,7 +307,7 @@ def compress_grid(
                 method, len(selected), ", ".join(map(str, short)), len(selected),
             )
     elif head == "arls":
-        scores = arls_scores(P, kernel, params.get("lambda"), params.get("pilot"), rng)
+        scores = approx_rls_pilot(P, kernel, params.get("lambda"), params.get("pilot"), rng)
     shared_s = time.perf_counter() - t0
     for m in ms:
         t0 = time.perf_counter()
@@ -361,18 +357,21 @@ def save_rule(rule: QuadratureRule, path) -> None:
 def load_rule(path) -> QuadratureRule:
     """Read a rule written by save_rule."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("index,"):
+        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    if not lines or not lines[0][1].startswith("index,"):
         raise InputError(f"{path}: not a quadrature-rule CSV")
-    ncols = len(lines[0].split(","))
+    ncols = len(lines[0][1].split(","))
     idx, nodes, weights = [], [], []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != ncols:
-            raise InputError(f"{path}: ragged row {line!r}")
-        idx.append(int(cells[0]))
-        nodes.append([float(c) for c in cells[1:-1]])
-        weights.append(float(cells[-1]))
+            raise InputError(f"{path}:{lineno}: ragged row {line!r}")
+        try:
+            idx.append(int(cells[0]))
+            nodes.append([float(c) for c in cells[1:-1]])
+            weights.append(float(cells[-1]))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
     indices = np.asarray(idx, dtype=int)
     return QuadratureRule(
         nodes=np.asarray(nodes, dtype=np.float64),

@@ -1,9 +1,11 @@
 """Node selection: uniform subsampling and ridge-leverage-score sampling.
 
 Exact ridge leverage scores are the diagonal of K (K + lambda n I)^(-1).
-The approximate variant draws a uniform pilot subset of size p, whitens the
-data through the pilot's Cholesky factor, and evaluates the scores in that
-p-dimensional feature space; with p = n it reproduces the exact scores.
+The approximate variant draws a uniform pilot subset of size p and factors
+its Gram with the weight solve's pivoted Cholesky, cut at the numerical rank
+r.  The data are whitened through the first r pivots (the landmarks) and
+scored in that r-dimensional feature space: the Nystrom approximation
+through the pilot Gram's pseudo-inverse.  With p = n it gives the exact scores.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, _as_points, gram, sup_norm_bound
-from .numerics import eig_sym
+from .numerics import _pivoted_cholesky, eig_sym
 from .spectral import lambda_rule
 
 
@@ -68,45 +70,30 @@ def exact_rls(K, lam: float) -> LeverageScores:
     return LeverageScores(lam=lam, values=values, mode="exact")
 
 
-def _cholesky_with_jitter(Kp: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating a trace-scaled diagonal jitter on
-    failure: 1e-12 tr(Kp)/p, x10 per retry, at most 6 retries."""
-    try:
-        return np.linalg.cholesky(Kp)
-    except np.linalg.LinAlgError:
-        pass
-    p = Kp.shape[0]
-    base = 1e-12 * float(np.trace(Kp)) / p
-    if base <= 0:
-        base = 1e-12
-    for k in range(6):
-        try:
-            return np.linalg.cholesky(Kp + (base * 10.0**k) * np.eye(p))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        "pilot Gram matrix is numerically singular even with jitter; "
-        "use a larger pilot or a larger lambda"
-    )
-
-
 def approx_rls_pilot(
     X,
     kernel: KernelSpec,
-    lam: float,
-    pilot_size: int,
+    lam: float | None = None,
+    pilot_size: int | None = None,
     rng: np.random.Generator | None = None,
     pilot_indices=None,
 ) -> LeverageScores:
     """Pilot-based approximate ridge leverage scores.
 
     Draws ``pilot_size`` indices uniformly without replacement (or uses
-    ``pilot_indices`` when given), maps every point to the whitened pilot
-    feature b_i = L^(-1) k_p(x_i) with K_p = L L^T, and scores
-    b_i^T (B B^T + lambda n I)^(-1) b_i.  Cost O(n p^2 + p^3).
+    ``pilot_indices`` when given) and factors their Gram by pivoted Cholesky;
+    its first r pivots, r the numerical rank, are the landmarks S, with
+    K_S = L L^T from the factor's leading r x r block.  Every point maps to
+    b_i = L^(-1) k_S(x_i) and scores b_i^T (B B^T + lambda n I)^(-1) b_i.
+    Cost O(n r^2 + p^3).  ``lam=None`` selects lambda = 19 K^2 log(32 n /
+    delta) / n with delta = 0.1, and ``pilot_size=None`` p = ceil(4 sqrt(n)).
     """
     P = _as_points(X)
     n = P.shape[0]
+    if lam is None:
+        lam = lambda_rule("arls", n, K=sup_norm_bound(kernel), delta=0.1)
+    if pilot_size is None:
+        pilot_size = min(n, int(math.ceil(4.0 * math.sqrt(n))))
     if not 0 < lam < math.inf:
         raise InputError(f"lambda must be positive and finite, got {lam}")
     if not 1 <= pilot_size <= n:
@@ -114,9 +101,10 @@ def approx_rls_pilot(
     if pilot_indices is None:
         pilot_indices = uniform_subsample(n, pilot_size, with_replacement=False, rng=rng)
     pilot_indices = np.asarray(pilot_indices, dtype=np.intp)
-    L = _cholesky_with_jitter(gram(kernel, P[pilot_indices]))
-    Kpn = gram(kernel, P[pilot_indices], P)
-    B = solve_triangular(L, Kpn, lower=True)  # columns are the b_i
+    F, perm = _pivoted_cholesky(gram(kernel, P[pilot_indices]))
+    r = F.shape[1]
+    landmarks = pilot_indices[perm[:r]]
+    B = solve_triangular(F[:r], gram(kernel, P[landmarks], P), lower=True)  # columns are b_i
     G = B @ B.T
     G[np.diag_indices_from(G)] += lam * n
     # b^T G^-1 b = |C^-1 b|^2 with G = C C^T: one triangular solve per column.
@@ -138,29 +126,3 @@ def sample_proportional(
     if total <= 0.0:
         raise InputError("all leverage scores are zero")
     return rng.choice(v.size, size=m, replace=True, p=v / total)
-
-
-def default_pilot_size(n: int) -> int:
-    return min(n, int(math.ceil(4.0 * math.sqrt(n))))
-
-
-def arls_scores(
-    X,
-    kernel: KernelSpec,
-    lam: float | None,
-    pilot_size: int | None,
-    rng: np.random.Generator,
-) -> LeverageScores:
-    """Pilot leverage scores of the arls method: the part of its node draw
-    that does not depend on m.
-
-    ``lam=None`` and ``pilot_size=None`` select the defaults
-    lam = 19 K^2 log(32 n / delta) / n with delta = 0.1 and p = ceil(4 sqrt(n)).
-    """
-    P = np.asarray(X, dtype=np.float64)
-    n = P.shape[0]
-    if lam is None:
-        lam = lambda_rule("arls", n, K=sup_norm_bound(kernel), delta=0.1)
-    if pilot_size is None:
-        pilot_size = default_pilot_size(n)
-    return approx_rls_pilot(P, kernel, lam, pilot_size, rng=rng)

@@ -205,19 +205,21 @@ def theoretical_rate_curve(
     arls-poly:    log(m)^(1/(2 gamma)) / m^(1/(2 gamma))
     arls-exp:     m^(1/4) / exp(sqrt(m) / c)
     monte-carlo:  m^(-1/2)
+
+    with gamma in (0, 1] (as in ``DecayModel``), c > 0 finite, s, d >= 1.
     """
     m = np.asarray(m_values, dtype=np.float64).ravel()
     if np.any(m < 2):
         raise InputError("m values must be >= 2")
+    if curve in ("uniform-poly", "arls-poly") and not (gamma is not None and 0 < gamma <= 1):
+        raise InputError(f"{curve} curve needs gamma in (0, 1], got {gamma}")
     if curve == "sobolev":
-        if not (s and d):
-            raise InputError("sobolev curve needs s and d")
+        if s is None or d is None or not (s >= 1 and d >= 1):
+            raise InputError(f"sobolev curve needs s >= 1 and d >= 1, got s={s}, d={d}")
         expo = s / d
         pred = np.log(m) ** expo / m**expo
         label = f"sobolev(s={s},d={d})"
     elif curve == "uniform-poly":
-        if gamma is None:
-            raise InputError("uniform-poly curve needs gamma")
         expo = 1.0 - gamma / 2.0
         pred = np.log(m) ** expo / m**expo
         label = f"uniform-poly(gamma={gamma})"
@@ -225,14 +227,12 @@ def theoretical_rate_curve(
         pred = np.log(m) / m
         label = "uniform-exp"
     elif curve == "arls-poly":
-        if gamma is None:
-            raise InputError("arls-poly curve needs gamma")
         expo = 1.0 / (2.0 * gamma)
         pred = np.log(m) ** expo / m**expo
         label = f"arls-poly(gamma={gamma})"
     elif curve == "arls-exp":
-        if c is None or c <= 0:
-            raise InputError("arls-exp curve needs a positive constant c")
+        if c is None or not 0 < c < math.inf:
+            raise InputError(f"arls-exp curve needs a positive finite constant c, got {c}")
         pred = m**0.25 / np.exp(np.sqrt(m) / c)
         label = f"arls-exp(c={c})"
     elif curve == "monte-carlo":

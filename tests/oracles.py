@@ -48,6 +48,25 @@ def projected_gram(K, selected):
     return Kxs @ np.linalg.solve(Ks, Kxs.T)
 
 
+def nystrom_leverage_scores(kernel, X, pilot_indices, lam):
+    """Ridge leverage scores of the Nystrom approximation through a pilot.
+
+    diag(K~ (K~ + lam n I)^-1) with K~ = K_XJ K_J^+ K_JX, the pseudo-inverse
+    of the pilot Gram K_J built from its eigendecomposition with eigenvalues
+    at or below p * eps * lambda_max dropped, and the n x n resolvent formed
+    densely.
+    """
+    P = np.asarray(X, dtype=np.float64)
+    J = np.asarray(pilot_indices, dtype=np.intp)
+    w, V = np.linalg.eigh(gram(kernel, P[J]))
+    keep = w > J.size * np.finfo(np.float64).eps * w[-1]
+    KXJ = gram(kernel, P, P[J])
+    left = KXJ @ V[:, keep]
+    Kt = (left / w[keep]) @ left.T
+    n = P.shape[0]
+    return np.diag(np.linalg.solve(Kt + lam * n * np.eye(n), Kt))
+
+
 def gaussian_wce_sq_longdouble(sigma, nodes, weights, points, masses, chunk=256):
     """Squared worst-case error of a Gaussian-kernel rule, all in np.longdouble.
 

@@ -21,7 +21,7 @@ from kquad.bench import (
 )
 from kquad.kernels import parse_kernel
 from kquad.quadrature import TargetMeasure, compress, optimal_weights, worst_case_error
-from kquad.sampling import arls_scores, sample_proportional, uniform_subsample
+from kquad.sampling import approx_rls_pilot, sample_proportional, uniform_subsample
 
 
 def small_config(**overrides):
@@ -186,7 +186,7 @@ def test_reported_error_never_beats_optimal_weights():
         draw = derive_rng(cfg.master_seed, mid, row.m, row.trial)
         if row.method == "arls":  # one pilot per trial, from the score stream
             pilot_rng = derive_rng(cfg.master_seed, mid, row.trial)
-            scores = arls_scores(ds.points, kern, None, None, pilot_rng)
+            scores = approx_rls_pilot(ds.points, kern, rng=pilot_rng)
             idx = sample_proportional(scores, row.m, draw)
         else:
             idx = uniform_subsample(200, row.m, row.method != "uniform", draw)

@@ -248,6 +248,12 @@ def _rates_summary(tmp_path):
         ("compress", "p-greedy:foo=1"),
         ("rates", "sobolev:s=x,d=1"),
         ("rates", "uniform-poly:gamma=abc"),
+        ("rates", "arls-poly:gamma=0"),
+        ("rates", "arls-poly:gamma=-1"),
+        ("rates", "uniform-poly:gamma=nan"),
+        ("rates", "arls-exp:c=nan"),
+        ("rates", "arls-exp:c=inf"),
+        ("rates", "sobolev:s=1,d=-1"),
     ],
 )
 def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
@@ -269,7 +275,11 @@ def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
             "--output", str(tmp_path / "r.csv"),
         ]
     else:
-        argv = ["rates", "--summary", str(_rates_summary(tmp_path)), "--model", spec]
+        # a third row, so the slope fit passes and the curve itself is evaluated
+        summary = _rates_summary(tmp_path)
+        third = "uniform,32,0.02,0.0,0.0\n"
+        summary.write_text(summary.read_text(encoding="utf-8") + third, encoding="utf-8")
+        argv = ["rates", "--summary", str(summary), "--model", spec]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
 

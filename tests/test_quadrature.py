@@ -428,6 +428,13 @@ def test_rule_csv_without_indices(tmp_path):
     assert np.array_equal(back.nodes, rule.nodes)
 
 
+def test_load_rule_rejects_non_numeric_cell(tmp_path):
+    path = tmp_path / "rule.csv"
+    path.write_text("index,x_1,weight\n0,abc,0.5\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"{path}:2: non-numeric"):
+        load_rule(path)
+
+
 def test_rule_validation():
     with pytest.raises(InputError):
         QuadratureRule(nodes=np.zeros((2, 1)), weights=[1.0])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kquad import InputError, NumericalError
-from kquad.kernels import gaussian, gram
+from kquad.bench import gen_synthetic
+from kquad.kernels import gaussian, gram, parse_kernel
 from kquad.numerics import eig_sym
 from kquad.sampling import (
     approx_rls_pilot,
@@ -10,6 +11,8 @@ from kquad.sampling import (
     sample_proportional,
     uniform_subsample,
 )
+
+from oracles import nystrom_leverage_scores
 
 
 def test_uniform_without_replacement_is_permutation():
@@ -132,6 +135,45 @@ def test_pilot_jitter_handles_rank_deficiency():
     X = np.vstack([base, base])
     scores = approx_rls_pilot(X, gaussian(0.8), 0.1, pilot_size=8, pilot_indices=np.arange(8))
     assert np.all(np.isfinite(scores.values))
+
+
+def _rank_deficient_pilot():
+    # 2-d mixture at median sigma: the pivoted factorization of this
+    # 200-point pilot Gram stops at rank 66, far below p
+    X = gen_synthetic("gaussian_mixture:d=2,k=3,sep=5", 1024, 1).points
+    kern = parse_kernel("gaussian:sigma=median", points=X, rng=np.random.default_rng(0))
+    return X, kern, uniform_subsample(1024, 200, rng=np.random.default_rng(11))
+
+
+def _truncation_tolerance(pilot_size, lam, n):
+    # Both factorizations keep the pilot's feature span up to components of
+    # squared norm at most p * eps * max k (= 1 for the Gaussian): dropped
+    # residual pivots in the one, dropped eigenvalues in the other.  So K~
+    # differs entrywise by about sqrt(p * eps), and the scores, a resolvent
+    # at shift lambda n, by that over lambda n to first order.  Measured:
+    # 0.04-0.36 of this on four mixtures for lambda from 1e-5 to the default.
+    return np.sqrt(pilot_size * np.finfo(np.float64).eps) / (lam * n)
+
+
+@pytest.mark.parametrize("lam", [None, 1e-3, 1e-5])
+def test_pilot_matches_nystrom_oracle_below_full_rank(lam):
+    X, kern, J = _rank_deficient_pilot()
+    scores = approx_rls_pilot(X, kern, lam, pilot_indices=J)
+    expected = nystrom_leverage_scores(kern, X, J, scores.lam)
+    tol = _truncation_tolerance(J.size, scores.lam, X.shape[0])
+    assert np.max(np.abs(scores.values - expected)) <= tol
+
+
+def test_pilot_ignores_duplicate_pilot_rows():
+    X, kern, J = _rank_deficient_pilot()
+    scores = approx_rls_pilot(X, kern, 1e-3, pilot_indices=J)
+    padded = np.concatenate([J, J[::3], J[:5]])
+    again = approx_rls_pilot(X, kern, 1e-3, pilot_indices=padded)
+    # a duplicate has zero residual once its twin is a pivot, so it is never
+    # a landmark; only the rank cutoff moves with p (200 -> 272 rows, rank
+    # 66 -> 65), within the truncation tolerance of the oracle test
+    tol = _truncation_tolerance(padded.size, 1e-3, X.shape[0])
+    assert np.max(np.abs(again.values - scores.values)) <= tol
 
 
 def test_pilot_multiplicative_sanity():

@@ -204,6 +204,18 @@ def test_rate_curve_validation():
         theoretical_rate_curve("warp", [10, 100])
     with pytest.raises(InputError):
         theoretical_rate_curve("monte-carlo", [1, 10])
+    for curve, kwargs in (
+        ("arls-poly", dict(gamma=0.0)),
+        ("arls-poly", dict(gamma=-1.0)),
+        ("uniform-poly", dict(gamma=1.5)),
+        ("uniform-poly", dict(gamma=math.nan)),
+        ("arls-exp", dict(c=math.inf)),
+        ("arls-exp", dict(c=math.nan)),
+        ("sobolev", dict(s=1, d=-1)),
+        ("sobolev", dict(s=0, d=1)),
+    ):
+        with pytest.raises(InputError):
+            theoretical_rate_curve(curve, [10, 100], **kwargs)
 
 
 def test_rate_slope_exact_power_laws():
