@@ -2,10 +2,11 @@
 
 A sweep runs one cell per (method, trial).  A cell builds the method's rule
 at every m of the grid through ``quadrature.compress_grid``, which gives each
-rule its exact worst-case error against the configured target.  With
-``target = data`` the run makes one Theta(n^2) pass, the data's kernel mean,
-from which every rule's moments and error come; with ``target = unit-cube``
-it makes none unless an f or f/P greedy method needs that mean.  The work
+rule its exact worst-case error against the configured target.  The run
+computes the target's kernel mean at every data point once, and every rule's
+moments and the f and f/P greedy criteria come from it: with
+``target = data`` that is one Theta(n^2) pass, which also gives the error's
+self-product, and with ``target = unit-cube`` it is the constant 1.  The work
 that does not depend on m is done once per cell: arls draws its pilot
 leverage scores from a score stream keyed by (master_seed, method, trial),
 then draws each m's nodes from a draw stream keyed by (master_seed, method,
@@ -236,6 +237,8 @@ def _validate(config: ExperimentConfig, n: int) -> tuple[tuple, dict]:
         raise InputError(f"largest m {grid[-1]} exceeds dataset size {n}")
     if config.trials < 1:
         raise InputError("trials must be >= 1")
+    if config.workers < 1:
+        raise InputError(f"workers must be >= 1, got {config.workers}")
     if not config.methods:
         raise InputError("need at least one method")
     heads = {method: parse_spec(method, "method", METHODS)[0] for method in config.methods}
@@ -258,13 +261,6 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     ds = dataset if dataset is not None else _resolve_dataset(config)
     points = _as_points(ds.points)
     grid, heads = _validate(config, points.shape[0])
-    workers = max(1, int(config.workers))
-    env_cap = os.environ.get("KQUAD_THREADS")
-    if env_cap:
-        try:
-            workers = min(workers, max(1, int(env_cap)))
-        except ValueError:
-            raise InputError(f"KQUAD_THREADS must be an integer, got {env_cap!r}") from None
 
     kernel = parse_kernel(
         config.kernel,
@@ -272,11 +268,10 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         rng=derive_rng(config.master_seed, _BANDWIDTH_STREAM),
         median_subset=config.median_subset,
     )
-    # None is the discrete measure on the points, whose error terms all come
-    # from the data's kernel mean; the f and f/P greedy criteria share it too
+    # None is the discrete measure on the points, whose self-product comes
+    # from the same kernel mean as every rule's moments
     target = TargetMeasure.unit_cube(points.shape[1]) if config.target == "unit-cube" else None
-    needs_kme = target is None or any(GREEDY.get(head, "P") != "P" for head in heads.values())
-    kme = target_moments(kernel, points, TargetMeasure.discrete(points)) if needs_kme else None
+    kme = target_moments(kernel, points, target or TargetMeasure.discrete(points))
 
     def run_cell(method: str, trial: int | None) -> list[ResultRow]:
         mid, tkey = _METHOD_IDS[heads[method]], (() if trial is None else (trial,))
@@ -310,10 +305,10 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         else:
             tasks.extend((method, t) for t in range(config.trials))
 
-    if workers == 1:
+    if config.workers == 1:
         chunks = [run_cell(*task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(lambda t: run_cell(*t), tasks))
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.method, r.m, r.trial))

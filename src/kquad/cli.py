@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         if args.command == "compress":
             return _cmd_compress(args)
         return _cmd_rates(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -89,19 +89,15 @@ class TargetMeasure:
 
     @staticmethod
     def discrete(points, masses=None) -> "TargetMeasure":
-        P = np.asarray(points, dtype=np.float64)
-        if P.ndim == 1:
-            P = P[:, None]
-        if P.shape[0] == 0:
-            raise InputError("discrete target must be nonempty")
+        P = _as_points(points)
         if masses is None:
             w = np.full(P.shape[0], 1.0 / P.shape[0])
         else:
             w = np.asarray(masses, dtype=np.float64).ravel()
             if w.shape[0] != P.shape[0]:
                 raise InputError("points and masses counts differ")
-            if np.any(w < 0):
-                raise InputError("masses must be nonnegative")
+            if not np.all(np.isfinite(w) & (w >= 0)):
+                raise InputError("masses must be finite and nonnegative")
             if abs(float(w.sum()) - 1.0) > 1e-12:
                 raise InputError("masses must sum to 1 within 1e-12")
         return TargetMeasure(points=P, masses=w)
@@ -237,8 +233,9 @@ def compress(
     ``uniform-wr`` draw them uniformly without or with replacement,
     ``arls:lambda=<float|auto>,pilot=<int|auto>`` in proportion to
     approximate ridge leverage scores, and the greedy methods select them by
-    their ``greedy_select`` criterion.  The f and f/P criteria interpolate
-    the data's kernel mean ``kme``, computed here when needed unless given.
+    their ``greedy_select`` criterion.  ``kme`` holds the target's moments at
+    every point of X (computed here unless given); every rule takes its
+    moments from it, and the f and f/P criteria interpolate it.
     ``rng`` is a Generator or a seed.  The rule carries its worst-case
     ``error`` against the target and the wall times of the two phases.  This
     is ``compress_grid`` at the single m.
@@ -258,14 +255,13 @@ def compress_grid(
 ) -> Iterator[QuadratureRule]:
     """Yield the rule ``compress`` builds at each m of ``ms``, in order.
 
-    Each rule carries its worst-case ``error``.  For the default target, the
-    discrete measure on X with masses a = 1/n, every rule's moments and the
-    target's self-product come from one kernel mean of the data,
-    ``kme = K a`` (computed here unless given): the moments are
-    ``kme[indices]`` and the self-product is ``a . kme``.  An explicit target
-    takes its moments from ``target_moments`` and its self-product from
-    ``target_self_product``.  A rule's node Gram is dropped once its error
-    is computed.
+    Each rule carries its worst-case ``error``.  ``kme`` is the target's
+    kernel mean at every point of X, ``target_moments(kernel, X, target)``,
+    computed here once unless given: a rule's moments are ``kme[indices]``,
+    and the f and f/P greedy criteria interpolate it.  For the default
+    target, the discrete measure on X with masses a = 1/n, the self-product
+    is ``a . kme``; an explicit target takes it from ``target_self_product``.
+    A rule's node Gram is dropped once its error is computed.
 
     The work that does not depend on m is done once: the arls pilot scores
     are drawn from ``rng``, and a greedy method runs once at max(ms), the
@@ -285,12 +281,11 @@ def compress_grid(
         return
     P = _as_points(X)
     rng = np.random.default_rng(rng)
-    if kme is None and (target is None or GREEDY.get(head, "P") != "P"):
-        kme = target_moments(kernel, P, TargetMeasure.discrete(P))
-    if kme is not None:
-        kme = np.asarray(kme, dtype=np.float64).ravel()
-        if kme.shape[0] != P.shape[0]:
-            raise InputError(f"expected {P.shape[0]} kernel-mean values, got {kme.shape[0]}")
+    if kme is None:
+        kme = target_moments(kernel, P, target or TargetMeasure.discrete(P))
+    kme = np.asarray(kme, dtype=np.float64).ravel()
+    if kme.shape[0] != P.shape[0]:
+        raise InputError(f"expected {P.shape[0]} kernel-mean values, got {kme.shape[0]}")
     if target is None:
         T = math.fsum(TargetMeasure.discrete(P).masses * kme)
     else:
@@ -319,8 +314,7 @@ def compress_grid(
         else:
             indices = uniform_subsample(P.shape[0], m, head != "uniform", draw)
         t1 = time.perf_counter()
-        nodes = P[indices]
-        v = kme[indices] if target is None else target_moments(kernel, nodes, target)
+        nodes, v = P[indices], kme[indices]
         Km = gram(kernel, nodes)
         weights = np.full(m, 1.0 / m) if head == "monte-carlo" else pinv_apply(Km, v)
         t2 = time.perf_counter()

@@ -257,13 +257,6 @@ def test_run_experiment_reproducible_bytes(tmp_path):
     assert (tmp_path / "b_summary.csv").read_bytes() == first_sum
 
 
-def test_worker_env_cap(monkeypatch, tmp_path):
-    monkeypatch.setenv("KQUAD_THREADS", "1")
-    cfg = small_config(workers=8, timings=False, output=str(tmp_path / "c.csv"))
-    res = run_experiment(cfg)  # must not crash and stay deterministic
-    assert len(res.rows) == 2 * 2 * 3
-
-
 def test_validation_errors():
     with pytest.raises(InputError):
         run_experiment(small_config(m_grid=(16, 8)))

@@ -210,10 +210,45 @@ def test_compress_negative_seed_exit_code(data_csv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --seed must be >= 0")
 
 
-def test_run_bad_thread_cap_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KQUAD_THREADS", "abc")
-    assert cli.main(["run", str(write_run_config(tmp_path, workers="2"))]) == 1
-    assert "KQUAD_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_run_nonpositive_workers_exit_code(tmp_path, capsys, workers):
+    assert cli.main(["run", str(write_run_config(tmp_path, workers=workers))]) == 1
+    assert capsys.readouterr().err.startswith(f"error: workers must be >= 1, got {workers}")
+
+
+@pytest.mark.parametrize(
+    "command, flag, binary",
+    [
+        ("compress", "--output", False),  # IsADirectoryError
+        ("compress", "--input", False),  # IsADirectoryError
+        ("run", None, False),  # IsADirectoryError
+        ("compress", "--input", True),  # UnicodeDecodeError
+        ("rates", "--summary", True),  # UnicodeDecodeError
+    ],
+)
+def test_file_error_exit_code(data_csv, tmp_path, capsys, command, flag, binary):
+    path, _ = data_csv
+    bad = tmp_path
+    if binary:
+        bad = tmp_path / "blob.bin"
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00\x01")  # not UTF-8
+    if command == "run":
+        argv = ["run", str(bad)]
+    elif command == "rates":
+        argv = ["rates", "--summary", str(bad), "--model", "sobolev:s=1,d=1"]
+    else:
+        files = {"--input": path, "--output": tmp_path / "r.csv", flag: bad}
+        argv = [
+            "compress",
+            "--input", str(files["--input"]),
+            "--kernel", "gaussian:sigma=1",
+            "--method", "uniform",
+            "--m", "4",
+            "--seed", "0",
+            "--output", str(files["--output"]),
+        ]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def _rates_summary(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kquad import InputError, NumericalError, quadrature
+from kquad.greedy import greedy_select
 from kquad.kernels import evaluate, gaussian, gram, laplacian, periodic_sobolev
 from kquad.numerics import eig_sym
 from kquad.quadrature import (
@@ -40,6 +41,10 @@ def test_target_measure_validation():
         TargetMeasure.discrete(np.zeros((2, 1)), masses=[0.7, 0.7])
     with pytest.raises(InputError):
         TargetMeasure.discrete(np.zeros((2, 1)), masses=[1.5, -0.5])
+    with pytest.raises(InputError):
+        TargetMeasure.discrete(np.zeros((3, 1)), masses=[np.nan, 0.5, 0.5])
+    with pytest.raises(InputError):
+        TargetMeasure.discrete([[0.0], [np.nan]])
     with pytest.raises(InputError):
         TargetMeasure.unit_cube(0)
     cube = TargetMeasure.unit_cube(2)
@@ -252,14 +257,34 @@ def test_full_support_rule_has_zero_error(seed, n, d, log2_sigma, laplace):
 
 
 @settings(max_examples=30, deadline=None)
-@given(**{**CASES, "n": st.integers(1, 1500)}, k=st.integers(1, 64))
-def test_gathered_moments_equal_target_moments(seed, n, d, log2_sigma, laplace, k):
+@given(
+    **{**CASES, "n": st.integers(1, 1500)},
+    k=st.integers(1, 64),
+    kind=st.sampled_from(("data", "weighted", "cube")),
+)
+def test_gathered_moments_equal_target_moments(seed, n, d, log2_sigma, laplace, k, kind):
     rng, X, kern = random_case(seed, n, d, log2_sigma, laplace)
-    target = uniform_target(X)
+    if kind == "data":
+        target = uniform_target(X)
+    elif kind == "weighted":  # other points, random masses
+        masses = rng.random(n) + 0.1
+        target = TargetMeasure.discrete(rng.standard_normal((n, d)), masses / masses.sum())
+    else:
+        kern, target = periodic_sobolev(1, d), TargetMeasure.unit_cube(d)
     kme = target_moments(kern, X, target)
     idx = rng.integers(0, n, size=k)  # duplicates included
     v = target_moments(kern, X[idx], target)
     assert np.all(np.abs(kme[idx] - v) <= 2 * n * EPS * v)
+
+
+def test_unit_cube_greedy_interpolates_the_target_embedding():
+    n, m = 512, 24
+    X = np.random.default_rng(3).random((n, 1))
+    kern = periodic_sobolev(1, 1)
+    rule = compress(X, kern, "fp-greedy", m, target=TargetMeasure.unit_cube(1))
+    # the unit cube's kernel mean is 1 at every point, not the data's K a
+    expected = greedy_select(X, kern, np.ones(n), m, "f_over_P").selected
+    assert np.array_equal(rule.indices, expected)
 
 
 def test_witness_matches_error_formula():
