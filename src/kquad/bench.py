@@ -21,6 +21,7 @@ the ``sample_time_s`` of the cell's first (smallest) m.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -123,14 +124,30 @@ def standardize_points(points: np.ndarray) -> np.ndarray:
     return (P - P.mean(axis=0)) / std
 
 
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file; any other bytes are an input error
+    that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def _write_rows(path, rows) -> None:
+    """Write rows of cells through the csv module, with minimal quoting (a
+    method spec with a comma stays one cell) and newline line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def load_csv(path, standardize: bool = False, delimiter: str = ",") -> Dataset:
     """Read a numeric CSV into a Dataset.
 
     A non-numeric first row is treated as a header and skipped.  Ragged rows
     and non-numeric cells raise with their location.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+    lines = [line.rstrip("\n").rstrip("\r") for line in _read_lines(path)]
     lines = [line for line in lines if line.strip()]
     if not lines:
         raise InputError(f"{path}: empty file")
@@ -350,34 +367,36 @@ def _fmt(x: float) -> str:
 def write_raw_csv(result: ExperimentResult, path, timings: bool = True) -> None:
     """Raw rows, one per (method, m, trial).  With timings off the time
     columns are written as zeros so reruns are byte-identical."""
-    lines = [RAW_HEADER]
+    rows = [RAW_HEADER.split(",")]
     for r in result.rows:
         ts, tw, tt = (r.sample_time_s, r.weight_time_s, r.total_time_s) if timings else (0, 0, 0)
-        lines.append(f"{r.method},{r.m},{r.trial},{_fmt(r.error)},{_fmt(ts)},{_fmt(tw)},{_fmt(tt)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([r.method, r.m, r.trial, *map(_fmt, (r.error, ts, tw, tt))])
+    _write_rows(path, rows)
 
 
 def write_summary_csv(summary: list, path, timings: bool = True) -> None:
-    lines = [SUMMARY_HEADER]
+    rows = [SUMMARY_HEADER.split(",")]
     for s in summary:
         tm = s.time_median if timings else 0.0
-        lines.append(f"{s.method},{s.m},{_fmt(s.error_median)},{_fmt(s.error_std)},{_fmt(tm)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([s.method, s.m, *map(_fmt, (s.error_median, s.error_std, tm))])
+    _write_rows(path, rows)
 
 
 def read_summary_csv(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
-    if not lines or lines[0][1] != SUMMARY_HEADER:
+    reader = csv.reader(_read_lines(path))
+    try:
+        rows = [(reader.line_num, [c.strip() for c in row]) for row in reader]
+    except csv.Error as exc:  # e.g. a cell beyond the csv module's field size limit
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+    rows = [(lineno, cells) for lineno, cells in rows if any(cells)]
+    header = SUMMARY_HEADER.split(",")
+    if not rows or rows[0][1] != header:
         raise InputError(f"{path}: not a summary CSV")
-    width = SUMMARY_HEADER.count(",") + 1
     out = []
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != width:
-            raise InputError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
+    for lineno, cells in rows[1:]:
+        line = ",".join(cells)
+        if len(cells) != len(header):
+            raise InputError(f"{path}:{lineno}: {len(cells)} cells, expected {len(header)}")
         method, m, med, std, tmed = cells
         try:
             row = SummaryRow(method, int(m), float(med), float(std), float(tmed))
@@ -425,29 +444,28 @@ def _split_methods(value: str) -> tuple:
 def parse_config(path) -> ExperimentConfig:
     """Flat ``key = value`` config file, ``#`` comments, one experiment per file."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise InputError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = key.strip().lower(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _CONFIG_KEYS[key]
-            try:
-                if kind == "list":
-                    values[key] = _split_methods(value)
-                elif kind == "intlist":
-                    values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-                elif kind == "bool":
-                    values[key] = _BOOL[value.lower()]
-                else:
-                    values[key] = kind(value)
-            except (ValueError, KeyError) as exc:
-                raise InputError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise InputError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = key.strip().lower(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = _CONFIG_KEYS[key]
+        try:
+            if kind == "list":
+                values[key] = _split_methods(value)
+            elif kind == "intlist":
+                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            elif kind == "bool":
+                values[key] = _BOOL[value.lower()]
+            else:
+                values[key] = kind(value)
+        except (ValueError, KeyError) as exc:
+            raise InputError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     missing = {"dataset", "kernel", "methods", "m_grid", "trials", "master_seed", "output"} - set(
         values
     )

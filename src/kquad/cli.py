@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -44,8 +45,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path) -> None:
+    """Fail before any work when ``path`` cannot be written as a file."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise InputError(f"output {path}: is a directory")
+    if not os.path.isdir(folder):
+        raise InputError(f"output {path}: directory {folder} does not exist")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise InputError(f"output {path}: not writable")
+
+
 def _cmd_run(args) -> int:
     config = bench.parse_config(args.config)
+    _check_output(config.output)
+    _check_output(bench.summary_path_for(config.output))
     raw, summary = bench.run_to_files(config)
     print(f"raw results: {raw}")
     print(f"summary:     {summary}")
@@ -55,6 +69,7 @@ def _cmd_run(args) -> int:
 def _cmd_compress(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    _check_output(args.output)
     points = bench.load_csv(args.input, standardize=args.standardize).points
     kernel = parse_kernel(args.kernel, points=points, rng=np.random.default_rng(args.seed))
     rule = compress(points, kernel, args.method, args.m, args.seed)
@@ -69,7 +84,7 @@ def _cmd_rates(args) -> int:
     by_method: dict[str, list] = {}
     for row in summary:
         by_method.setdefault(row.method, []).append(row)
-    out_lines = ["method,m,error_median,predicted_error"]
+    out_rows = [["method", "m", "error_median", "predicted_error"]]
     for method, rows in sorted(by_method.items()):
         rows.sort(key=lambda r: r.m)
         ms = [r.m for r in rows]
@@ -81,10 +96,9 @@ def _cmd_rates(args) -> int:
         overlay = pred.predicted_error * scale
         print(f"{method}: fitted slope {slope:+.3f} (r^2 {r2:.3f}) vs {pred.label}")
         for m, e, p in zip(ms, errs, overlay):
-            out_lines.append(f"{method},{m},{e!r},{float(p)!r}")
+            out_rows.append([method, m, repr(e), repr(float(p))])
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(out_lines) + "\n")
+        bench._write_rows(args.output, out_rows)
         print(f"curve overlays: {args.output}")
     return 0
 
@@ -102,7 +116,7 @@ def main(argv=None) -> int:
         if args.command == "compress":
             return _cmd_compress(args)
         return _cmd_rates(args)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

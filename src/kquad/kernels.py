@@ -13,8 +13,12 @@ Three positive-definite families are supported:
   part.  In d > 1 the kernel is the coordinate-wise tensor product of the
   1-d kernels, which keeps the uniform-measure moments equal to one.
 
-All evaluations go through a single pairwise code path based on raw
-coordinate differences, so k(x, y) == k(y, x) holds bit-exactly.
+All evaluations go through a single pairwise code path that builds a block
+coordinate by coordinate: the squared distance accumulates (a_k - b_k)^2 in
+order k = 0, ..., d-1, and the Sobolev product multiplies its per-coordinate
+factors in the same order.  (a - b)^2 == (b - a)^2 and |a - b| == |b - a|, so
+k(x, y) == k(y, x) holds bit-exactly, and no (a, b, d) difference tensor is
+ever formed: a block's temporaries are (a, b) arrays.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ SUPPORTED_ORDERS = (1, 2, 3)
 # zeta(2s) for the supported orders; k_s(x, x) = 1 + 2 zeta(2s) per coordinate.
 _ZETA_EVEN = {1: math.pi**2 / 6.0, 2: math.pi**4 / 90.0, 3: math.pi**6 / 945.0}
 
-# Target element count for one pairwise block; keeps temporaries ~tens of MB.
-_BLOCK_ELEMS = 4_000_000
+# Target element count for one pairwise block; its two (a, b) temporaries take
+# 16 MB each.
+_BLOCK_ELEMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -104,22 +109,47 @@ def _as_points(X, kernel: KernelSpec | None = None) -> np.ndarray:
     return P
 
 
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) squared Euclidean distances, accumulated coordinate by
+    coordinate in order k = 0, ..., d-1."""
+    d2 = np.subtract.outer(A[:, 0], B[:, 0])
+    d2 *= d2
+    if A.shape[1] > 1:
+        diff = np.empty_like(d2)
+        for k in range(1, A.shape[1]):
+            np.subtract.outer(A[:, k], B[:, k], out=diff)
+            diff *= diff
+            d2 += diff
+    return d2
+
+
 def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dense (len(A), len(B)) block of kernel values.
 
-    Built from coordinate differences only, so swapping A and B transposes
-    the block bit-exactly.
+    Built coordinate by coordinate from differences only, so swapping A and
+    B transposes the block bit-exactly.
     """
-    diff = A[:, None, :] - B[None, :, :]
     if kernel.family == "sobolev":
-        t = np.abs(diff)
-        t -= np.floor(t)
-        vals = 1.0 + _sobolev_coef(kernel.order) * _bernoulli_even(kernel.order, t)
-        return np.prod(vals, axis=-1)
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    if kernel.family == "gaussian":
-        return np.exp(-0.5 * d2 / kernel.bandwidth**2)
-    return np.exp(-np.sqrt(d2) / kernel.bandwidth)
+        coef = _sobolev_coef(kernel.order)
+        out = None
+        for k in range(A.shape[1]):
+            t = np.abs(np.subtract.outer(A[:, k], B[:, k]))
+            t -= np.floor(t)
+            factor = 1.0 + coef * _bernoulli_even(kernel.order, t)
+            if out is None:
+                out = factor
+            else:
+                out *= factor
+        return out
+    d2 = _sq_dists(A, B)
+    if kernel.family == "gaussian":  # -0.5 * d2 / sigma^2, in that order
+        d2 *= -0.5
+        d2 /= kernel.bandwidth**2
+    else:  # -sqrt(d2) / sigma
+        np.sqrt(d2, out=d2)
+        np.negative(d2, out=d2)
+        d2 /= kernel.bandwidth
+    return np.exp(d2, out=d2)
 
 
 def evaluate(kernel: KernelSpec, x, y) -> float:
@@ -134,9 +164,10 @@ def evaluate(kernel: KernelSpec, x, y) -> float:
 def gram(kernel: KernelSpec, X, Y=None) -> np.ndarray:
     """Kernel matrix of X against Y (or the symmetric Gram of X if Y is None).
 
-    The symmetric case fills each unordered pair once and mirrors it, so the
-    result is symmetric to zero absolute error.  Assembly is row-chunked to
-    bound temporaries.
+    Each block is assembled coordinate by coordinate (``_pairwise_block``),
+    row-chunked so its temporaries stay near ``_BLOCK_ELEMS`` values.  The
+    symmetric case fills each unordered pair once and mirrors it, so the
+    result is symmetric to zero absolute error.
     """
     A = _as_points(X, kernel)
     if Y is not None:
@@ -144,14 +175,14 @@ def gram(kernel: KernelSpec, X, Y=None) -> np.ndarray:
         if A.shape[1] != B.shape[1]:
             raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
         out = np.empty((A.shape[0], B.shape[0]))
-        step = max(1, _BLOCK_ELEMS // max(1, B.shape[0] * B.shape[1]))
+        step = max(1, _BLOCK_ELEMS // B.shape[0])
         for i0 in range(0, A.shape[0], step):
             i1 = min(i0 + step, A.shape[0])
             out[i0:i1] = _pairwise_block(kernel, A[i0:i1], B)
         return out
     n = A.shape[0]
     out = np.empty((n, n))
-    step = max(1, _BLOCK_ELEMS // max(1, n * A.shape[1]))
+    step = max(1, _BLOCK_ELEMS // n)
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
         block = _pairwise_block(kernel, A[i0:i1], A[i0:])
@@ -198,13 +229,12 @@ def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None
     idx = rng.permutation(n)[:k]
     S = P[idx]
     dists = []
-    step = max(1, _BLOCK_ELEMS // max(1, k * S.shape[1]))
+    step = max(1, _BLOCK_ELEMS // k)
     for i0 in range(0, k - 1, step):
         i1 = min(i0 + step, k - 1)
-        diff = S[i0:i1, None, :] - S[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        for r in range(i0, i1):
-            dists.append(d[r - i0, r + 1 :])
+        # the pairs (i, j > i) of rows i0..i1-1, from the kernels' own distance path
+        rows, cols = np.triu_indices(i1 - i0, 1, k - i0)
+        dists.append(np.sqrt(_sq_dists(S[i0:i1], S[i0:])[rows, cols]))
     med = float(np.median(np.concatenate(dists)))
     if med <= 0.0:
         raise InputError("median inter-point distance is zero; bandwidth must be positive")

@@ -127,14 +127,17 @@ def _check_analytic(kernel: KernelSpec, target: TargetMeasure, dim: int | None =
 def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarray:
     """v_j = E_{x ~ target} k(nodes_j, x).
 
-    Discrete targets are streamed in row chunks so the m x n cross matrix is
-    never materialized; the unit-cube target gives the constant vector 1.
+    Discrete targets are streamed in blocks so the m x n cross matrix is
+    never materialized; when the nodes are the target's own points, only the
+    blocks on and above the diagonal are evaluated (``_kernel_matvec``).  The
+    unit-cube target gives the constant vector 1.
     """
     N = _as_points(nodes)
     if not target.is_discrete:
         _check_analytic(kernel, target, dim=N.shape[1])
         return np.ones(N.shape[0])
-    return _kernel_matvec(kernel, N, target.points, target.masses)
+    Y = None if np.array_equal(N, target.points) else target.points
+    return _kernel_matvec(kernel, N, Y, target.masses)
 
 
 def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
@@ -147,10 +150,31 @@ def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
 
 
 def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
-    """K(X, Y) b, streamed over row blocks of Y."""
+    """K(X, Y) b, streamed over column blocks of _CHUNK_ROWS points of Y.
+
+    With Y None it is K(X, X) b, the kernel's own Theta(n^2) pass, from the
+    _CHUNK_ROWS-square blocks on and above the diagonal only: about half of
+    the n^2 kernel values.  An off-diagonal block K_IJ feeds its rows with
+    K_IJ b_J and the mirrored rows with a C-contiguous copy of its transpose
+    times b_I.  So every row gets the same per-block dot products, added in
+    the same column-block order, as in the full pass ``_kernel_matvec(kernel,
+    X, X, b)``; the two agree bit for bit as long as the BLAS matvec gives a
+    row the same dot product in a block as in a full-height panel.
+    """
     v = np.zeros(X.shape[0])
-    for j0 in range(0, Y.shape[0], _CHUNK_ROWS):
-        v += gram(kernel, X, Y[j0 : j0 + _CHUNK_ROWS]) @ b[j0 : j0 + _CHUNK_ROWS]
+    if Y is not None:
+        for j0 in range(0, Y.shape[0], _CHUNK_ROWS):
+            v += gram(kernel, X, Y[j0 : j0 + _CHUNK_ROWS]) @ b[j0 : j0 + _CHUNK_ROWS]
+        return v
+    for j0 in range(0, X.shape[0], _CHUNK_ROWS):
+        J = slice(j0, j0 + _CHUNK_ROWS)
+        # row block j0 takes column blocks i0 < j0 from their mirrors, in order
+        for i0 in range(0, j0 + 1, _CHUNK_ROWS):
+            I = slice(i0, i0 + _CHUNK_ROWS)
+            K = gram(kernel, X[I], X[J])
+            v[I] += K @ b[J]
+            if i0 < j0:
+                v[J] += np.ascontiguousarray(K.T) @ b[I]
     return v
 
 
@@ -207,9 +231,9 @@ def mmd(kernel: KernelSpec, points_a, weights_a, points_b, weights_b) -> float:
     b = np.asarray(weights_b, dtype=np.float64).ravel()
     m2 = math.fsum(
         [
-            math.fsum(a * _kernel_matvec(kernel, A, A, a)),
+            math.fsum(a * _kernel_matvec(kernel, A, None, a)),
             -2.0 * math.fsum(a * _kernel_matvec(kernel, A, B, b)),
-            math.fsum(b * _kernel_matvec(kernel, B, B, b)),
+            math.fsum(b * _kernel_matvec(kernel, B, None, b)),
         ]
     )
     return math.sqrt(max(m2, 0.0))

@@ -22,6 +22,33 @@ def sobolev_series_1d(order, offsets, terms=1_000_000, chunk=50_000):
     return total
 
 
+def pairwise_block_einsum(kernel, A, B):
+    """Kernel block from the full (a, b, d) difference tensor: squared
+    distances by einsum, the Sobolev factors 1 + c B_2s({|x - y|}) multiplied
+    by np.prod, with the same floating-point steps per value as kquad."""
+    diff = A[:, None, :] - B[None, :, :]
+    if kernel.family == "sobolev":
+        s = kernel.order
+        t = np.abs(diff)
+        t -= np.floor(t)
+        u = t * (t - 1.0)
+        bern = {1: lambda: u + 1.0 / 6.0, 2: lambda: u * u - 1.0 / 30.0,
+                3: lambda: u * u * u - 0.5 * u * u + 1.0 / 42.0}[s]()
+        coef = (-1.0) ** (s - 1) * (2.0 * math.pi) ** (2 * s) / math.factorial(2 * s)
+        return np.prod(1.0 + coef * bern, axis=-1)
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if kernel.family == "gaussian":
+        return np.exp(-0.5 * d2 / kernel.bandwidth**2)
+    return np.exp(-np.sqrt(d2) / kernel.bandwidth)
+
+
+def pairwise_distances_einsum(S):
+    """Distances of every pair i < j of rows of S, row by row, by einsum."""
+    diff = S[:, None, :] - S[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.concatenate([d[r, r + 1 :] for r in range(S.shape[0] - 1)])
+
+
 def zeta_series(exponent, terms=1_000_000):
     k = np.arange(1, terms + 1, dtype=np.float64)
     return float(np.sum(k ** (-float(exponent))))

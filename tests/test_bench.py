@@ -1,3 +1,4 @@
+import csv
 import logging
 import re
 
@@ -8,16 +9,20 @@ from kquad import InputError
 from kquad.bench import (
     Dataset,
     ExperimentConfig,
+    ExperimentResult,
+    ResultRow,
     derive_rng,
     gen_synthetic,
     load_csv,
     parse_config,
+    read_summary_csv,
     run_experiment,
     run_to_files,
     standardize_points,
     summarize,
     summary_path_for,
     write_raw_csv,
+    write_summary_csv,
 )
 from kquad.kernels import parse_kernel
 from kquad.quadrature import TargetMeasure, compress, optimal_weights, worst_case_error
@@ -318,6 +323,37 @@ def test_raw_csv_format(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "uniform" and int(cells[1]) == 8
     assert float(cells[3]) >= 0.0
+
+
+def test_csv_round_trip_with_comma_bearing_method(tmp_path):
+    spec = "arls:lambda=auto,pilot=64"
+    rows = [
+        ResultRow(method, m, t, 0.5 / m + t * 1e-3, 0.0, 0.0, 0.0)
+        for method in (spec, "uniform")
+        for m in (8, 16)
+        for t in range(2)
+    ]
+    result = ExperimentResult(rows=rows)
+    raw, summary = tmp_path / "raw.csv", tmp_path / "raw_summary.csv"
+    write_raw_csv(result, raw, timings=False)
+    write_summary_csv(summarize(result), summary, timings=False)
+    with open(raw, newline="", encoding="utf-8") as fh:
+        back = [(r["method"], int(r["m"]), int(r["trial"]), float(r["error"]))
+                for r in csv.DictReader(fh)]
+    assert back == [(r.method, r.m, r.trial, r.error) for r in rows]
+    assert read_summary_csv(summary) == summarize(result)
+    # comma-free cells are written as plain text, one line per row
+    lines = summary.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "method,m,error_median,error_std,time_median" and lines[-1] == ""
+    assert lines[1].startswith(f'"{spec}",8,') and lines[3].startswith("uniform,8,")
+
+
+@pytest.mark.parametrize("reader", [load_csv, read_summary_csv, parse_config])
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader):
+    bad = tmp_path / "blob.bin"
+    bad.write_bytes(b"method,m\n\x89PNG\r\n\x1a\n\xff\xfe")
+    with pytest.raises(InputError, match=re.escape(f"{bad}: not UTF-8 text")):
+        reader(bad)
 
 
 def test_parse_config(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kquad import cli
+from kquad import bench, cli
 from kquad.bench import read_summary_csv
 from kquad.errors import NumericalError
 from kquad.kernels import gaussian
@@ -251,6 +251,39 @@ def test_file_error_exit_code(data_csv, tmp_path, capsys, command, flag, binary)
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_compress_checks_output_before_any_work(data_csv, tmp_path, capsys, monkeypatch, where):
+    def never(*args, **kwargs):
+        raise AssertionError("called before the output path was checked")
+
+    monkeypatch.setattr(bench, "load_csv", never)
+    monkeypatch.setattr(cli, "compress", never)
+    path, _ = data_csv
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "rule.csv"
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", "gaussian:sigma=median",
+        "--method", "uniform",
+        "--m", "4",
+        "--seed", "0",
+        "--output", str(out),
+    ]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+
+
+def test_rates_on_a_run_with_a_comma_bearing_method(tmp_path, capsys):
+    spec = "arls:lambda=auto,pilot=16"
+    cfg = write_run_config(tmp_path, methods=f"uniform, {spec}", m_grid="8, 16, 32")
+    assert cli.main(["run", str(cfg)]) == 0
+    assert cli.main(["rates", "--summary", str(tmp_path / "res_summary.csv"),
+                     "--model", "sobolev:s=1,d=1"]) == 0
+    out = capsys.readouterr().out
+    assert f"{spec}: fitted slope" in out and "uniform: fitted slope" in out
+
+
 def _rates_summary(tmp_path):
     summary = tmp_path / "s_summary.csv"
     summary.write_text(
@@ -326,6 +359,9 @@ def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
         ("uniform,16,0.05,0.0", "4 cells"),
         ("uniform,32,nan,0.0,0.0", "non-finite"),
         ("uniform,32,0.02,0.0,inf", "non-finite"),
+        pytest.param(
+            "x" * 200_000 + ",32,0.02,0.0,0.0", "field larger than field limit", id="huge-cell"
+        ),
         # three rows, all at one m: no log-log slope to fit
         pytest.param("arls,16,0.1,0.0,0.0\n" * 3, "distinct m", id="one-m-only"),
     ],

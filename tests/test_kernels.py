@@ -16,7 +16,14 @@ from kquad.kernels import (
     sup_norm_bound,
 )
 
-from oracles import sobolev_series_1d, zeta_series
+from oracles import (
+    pairwise_block_einsum,
+    pairwise_distances_einsum,
+    sobolev_series_1d,
+    zeta_series,
+)
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_gaussian_laplacian_self_value():
@@ -127,6 +134,30 @@ def test_gram_chunking_consistent():
     assert np.array_equal(C_small, gram(kern, X[:9], X))
 
 
+@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("family", [gaussian, laplacian])
+def test_pairwise_block_matches_einsum_oracle(family, d):
+    rng = np.random.default_rng(d)
+    A, B = rng.standard_normal((31, d)), rng.standard_normal((17, d))
+    kern = family(0.5 * math.sqrt(d))
+    got, old = kernels._pairwise_block(kern, A, B), pairwise_block_einsum(kern, A, B)
+    if d <= 2:  # the same additions in the same order
+        assert np.array_equal(got, old)
+    else:
+        # both squared distances lie within (d - 1) rounding units of the
+        # exact sum; exp turns that into an absolute error in its exponent
+        assert np.all(np.abs(got - old) <= d * EPS * (1.0 - np.log(old)) * old)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_sobolev_product_matches_einsum_oracle(order, d):
+    rng = np.random.default_rng(10 * order + d)
+    A, B = rng.random((29, d)), rng.random((13, d))
+    kern = periodic_sobolev(order, d)
+    assert np.array_equal(kernels._pairwise_block(kern, A, B), pairwise_block_einsum(kern, A, B))
+
+
 @pytest.mark.parametrize(
     "kern",
     [gaussian(0.5), laplacian(0.8), periodic_sobolev(1, 2), periodic_sobolev(3, 2)],
@@ -185,6 +216,21 @@ def test_median_heuristic_deterministic():
     assert a == b
     c = median_heuristic(X, subset_size=40, rng=np.random.default_rng(12))
     assert c != a  # different subset, generically different median
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_median_heuristic_matches_einsum_oracle(d):
+    X = np.random.default_rng(d).standard_normal((300, d))
+    got = median_heuristic(X, subset_size=120, rng=np.random.default_rng(9))
+    S = X[np.random.default_rng(9).permutation(300)[:120]]
+    assert got == float(np.median(pairwise_distances_einsum(S)))
+
+
+def test_median_heuristic_chunking_consistent(monkeypatch):
+    X = np.random.default_rng(13).standard_normal((50, 3))
+    whole = median_heuristic(X, rng=np.random.default_rng(1))
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 120)  # blocks of 2 rows
+    assert median_heuristic(X, rng=np.random.default_rng(1)) == whole
 
 
 def test_median_heuristic_errors():

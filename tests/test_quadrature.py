@@ -277,6 +277,74 @@ def test_gathered_moments_equal_target_moments(seed, n, d, log2_sigma, laplace, 
     assert np.all(np.abs(kme[idx] - v) <= 2 * n * EPS * v)
 
 
+def symmetric_and_cross_pass(kern, X, b):
+    """K(X, X) b by the half-size symmetric pass and by the full cross pass,
+    and the bound 2 n eps (|K| |b|) on their difference: the same products
+    summed in another order."""
+    sym = quadrature._kernel_matvec(kern, X, None, b)
+    cross = quadrature._kernel_matvec(kern, X, X, b)
+    bound = 2 * X.shape[0] * EPS * (np.abs(gram(kern, X)) @ np.abs(b))
+    return sym, cross, bound
+
+
+SYMMETRIC_KERNELS = {
+    "gaussian": (gaussian(0.7), 2),
+    "laplacian": (laplacian(1.3), 3),
+    "sobolev": (periodic_sobolev(2, 2), 2),
+}
+
+
+@pytest.mark.parametrize("masses", ["uniform", "dirichlet"])
+@pytest.mark.parametrize("family", sorted(SYMMETRIC_KERNELS))
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+def test_symmetric_kernel_matvec_matches_cross_pass(n, family, masses):
+    kern, d = SYMMETRIC_KERNELS[family]
+    rng = np.random.default_rng(n)
+    X = rng.random((n, d)) if family == "sobolev" else rng.standard_normal((n, d))
+    b = np.full(n, 1.0 / n) if masses == "uniform" else rng.dirichlet(np.ones(n))
+    sym, cross, bound = symmetric_and_cross_pass(kern, X, b)
+    assert np.all(np.abs(sym - cross) <= bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2200), d=st.integers(1, 4),
+       laplace=st.booleans(), dirichlet=st.booleans())
+def test_symmetric_kernel_matvec_property(seed, n, d, laplace, dirichlet):
+    rng = np.random.default_rng(seed)
+    kern = (laplacian if laplace else gaussian)(float(rng.uniform(0.25, 4.0)))
+    X = rng.standard_normal((n, d))
+    b = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    sym, cross, bound = symmetric_and_cross_pass(kern, X, b)
+    assert np.all(np.abs(sym - cross) <= bound)
+
+
+def test_symmetric_kernel_matvec_evaluates_the_upper_blocks(monkeypatch):
+    n, c = 2500, quadrature._CHUNK_ROWS
+    X = np.random.default_rng(0).standard_normal((n, 2))
+    shapes = []
+
+    def counted_gram(kernel, A, B=None):
+        shapes.append((A.shape[0], B.shape[0]))
+        return gram(kernel, A, B)
+
+    monkeypatch.setattr(quadrature, "gram", counted_gram)
+    quadrature._kernel_matvec(gaussian(1.0), X, None, np.full(n, 1.0 / n))
+    sizes = [min(c, n - j) for j in range(0, n, c)]  # 1024, 1024, 452
+    assert shapes == [(sizes[i], sizes[j]) for j in range(3) for i in range(j + 1)]
+    assert sum(a * b for a, b in shapes) <= (n * n + n * c) / 2
+
+
+def test_own_points_take_the_symmetric_pass():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((1500, 2))
+    kern, masses = laplacian(0.9), rng.dirichlet(np.ones(1500))
+    sym = quadrature._kernel_matvec(kern, X, None, masses)
+    target = TargetMeasure.discrete(X, masses)
+    assert np.array_equal(target_moments(kern, X, target), sym)
+    assert np.array_equal(target_moments(kern, X.copy(), target), sym)
+    assert target_self_product(kern, target) == math.fsum(masses * sym)
+
+
 def test_unit_cube_greedy_interpolates_the_target_embedding():
     n, m = 512, 24
     X = np.random.default_rng(3).random((n, 1))
