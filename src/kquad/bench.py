@@ -35,6 +35,7 @@ from .quadrature import (
     GREEDY,
     METHODS,
     TargetMeasure,
+    _read_lines,
     compress_grid,
     target_moments,
 )
@@ -122,16 +123,6 @@ def standardize_points(points: np.ndarray) -> np.ndarray:
         col = int(np.nonzero(std == 0.0)[0][0]) + 1
         raise InputError(f"column {col} has zero variance; cannot standardize")
     return (P - P.mean(axis=0)) / std
-
-
-def _read_lines(path) -> list:
-    """The lines of a UTF-8 text file; any other bytes are an input error
-    that names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
 
 
 def _write_rows(path, rows) -> None:

@@ -19,6 +19,12 @@ order k = 0, ..., d-1, and the Sobolev product multiplies its per-coordinate
 factors in the same order.  (a - b)^2 == (b - a)^2 and |a - b| == |b - a|, so
 k(x, y) == k(y, x) holds bit-exactly, and no (a, b, d) difference tensor is
 ever formed: a block's temporaries are (a, b) arrays.
+
+Every pass over kernel blocks takes its blocks from one walk, ``_tiles``:
+_TILE-square tiles, column blocks outer, and for a symmetric pass only the
+tiles on and above the diagonal.  ``gram`` assembles from it, the kernel
+matvec ``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target)
+streams over it, and ``median_heuristic`` takes its distances from it.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ SUPPORTED_ORDERS = (1, 2, 3)
 # zeta(2s) for the supported orders; k_s(x, x) = 1 + 2 zeta(2s) per coordinate.
 _ZETA_EVEN = {1: math.pi**2 / 6.0, 2: math.pi**4 / 90.0, 3: math.pi**6 / 945.0}
 
-# Target element count for one pairwise block; its two (a, b) temporaries take
-# 16 MB each.
-_BLOCK_ELEMS = 2_000_000
+# Side of the square tiles every kernel pass is cut into; a full tile's two
+# temporaries take 8 MB each.
+_TILE = 1024
 
 
 @dataclass(frozen=True)
@@ -161,34 +167,55 @@ def evaluate(kernel: KernelSpec, x, y) -> float:
     return float(_pairwise_block(kernel, a, b)[0, 0])
 
 
+def _tiles(n: int, m: int | None = None):
+    """(I, J) slice pairs that cut an n x m matrix into _TILE-square tiles,
+    column block J outer, row block I inner.  With m None the matrix is the
+    symmetric n x n one and only the tiles on and above the diagonal come,
+    I.start <= J.start; the caller mirrors the others."""
+    for j0 in range(0, n if m is None else m, _TILE):
+        for i0 in range(0, j0 + 1 if m is None else n, _TILE):
+            yield slice(i0, i0 + _TILE), slice(j0, j0 + _TILE)
+
+
 def gram(kernel: KernelSpec, X, Y=None) -> np.ndarray:
     """Kernel matrix of X against Y (or the symmetric Gram of X if Y is None).
 
-    Each block is assembled coordinate by coordinate (``_pairwise_block``),
-    row-chunked so its temporaries stay near ``_BLOCK_ELEMS`` values.  The
-    symmetric case fills each unordered pair once and mirrors it, so the
-    result is symmetric to zero absolute error.
+    Assembled tile by tile over ``_tiles``, each tile coordinate by
+    coordinate (``_pairwise_block``).  The symmetric case evaluates the tiles
+    on and above the diagonal and mirrors them, so the result is symmetric to
+    zero absolute error and equal to ``gram(kernel, X, X)`` bit for bit.
     """
     A = _as_points(X, kernel)
-    if Y is not None:
-        B = _as_points(Y, kernel)
-        if A.shape[1] != B.shape[1]:
-            raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-        out = np.empty((A.shape[0], B.shape[0]))
-        step = max(1, _BLOCK_ELEMS // B.shape[0])
-        for i0 in range(0, A.shape[0], step):
-            i1 = min(i0 + step, A.shape[0])
-            out[i0:i1] = _pairwise_block(kernel, A[i0:i1], B)
-        return out
-    n = A.shape[0]
-    out = np.empty((n, n))
-    step = max(1, _BLOCK_ELEMS // n)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        block = _pairwise_block(kernel, A[i0:i1], A[i0:])
-        out[i0:i1, i0:] = block
-        out[i0:, i0:i1] = block.T
+    B = A if Y is None else _as_points(Y, kernel)
+    if A.shape[1] != B.shape[1]:
+        raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    out = np.empty((A.shape[0], B.shape[0]))
+    for I, J in _tiles(A.shape[0], None if Y is None else B.shape[0]):
+        K = out[I, J] = _pairwise_block(kernel, A[I], B[J])
+        if Y is None and I != J:
+            out[J, I] = K.T  # from the contiguous tile, not its strided copy in out
     return out
+
+
+def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
+    """K(X, Y) b over the tiles of ``_tiles``, never holding more than one.
+
+    With Y None it is K(X, X) b, the kernel's own Theta(n^2) pass, from the
+    tiles on and above the diagonal only: about half of the n^2 kernel
+    values.  An off-diagonal tile K_IJ feeds its rows with K_IJ b_J and the
+    mirrored rows with a C-contiguous copy of its transpose times b_I.  So
+    every row gets the same per-tile dot products, added in the same
+    column-block order, as in the full pass ``_kernel_matvec(kernel, X, X,
+    b)``; the two agree bit for bit as long as the BLAS matvec gives a row
+    the same dot product in every tile.
+    """
+    v = np.zeros(X.shape[0])
+    for I, J in _tiles(X.shape[0], None if Y is None else Y.shape[0]):
+        K = gram(kernel, X[I], (X if Y is None else Y)[J])
+        v[I] += K @ b[J]
+        if Y is None and I != J:
+            v[J] += np.ascontiguousarray(K.T) @ b[I]
+    return v
 
 
 def diagonal(kernel: KernelSpec, X) -> np.ndarray:
@@ -229,13 +256,10 @@ def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None
     idx = rng.permutation(n)[:k]
     S = P[idx]
     dists = []
-    step = max(1, _BLOCK_ELEMS // k)
-    for i0 in range(0, k - 1, step):
-        i1 = min(i0 + step, k - 1)
-        # the pairs (i, j > i) of rows i0..i1-1, from the kernels' own distance path
-        rows, cols = np.triu_indices(i1 - i0, 1, k - i0)
-        dists.append(np.sqrt(_sq_dists(S[i0:i1], S[i0:])[rows, cols]))
-    med = float(np.median(np.concatenate(dists)))
+    for I, J in _tiles(k):  # the pairs (i, j > i), from the kernels' own distance path
+        d2 = _sq_dists(S[I], S[J])
+        dists.append(d2[np.triu_indices(d2.shape[0], 1)] if I == J else d2.ravel())
+    med = float(np.median(np.sqrt(np.concatenate(dists))))
     if med <= 0.0:
         raise InputError("median inter-point distance is zero; bandwidth must be positive")
     return med

@@ -41,30 +41,28 @@ def eig_sym(A) -> SymmetricEigen:
     return SymmetricEigen(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
-def _pivoted_cholesky(S: np.ndarray, rel_tol: float | None = None):
+def _pivoted_cholesky(S: np.ndarray):
     """Pivoted Cholesky P^T S P = F F^T of a fresh symmetric array S, which
     ``dpstrf`` overwrites through its Fortran-ordered transpose (no copy).
 
     It stops once the largest residual diagonal is at most
-    ``rel_tol * max diag(S)``; the default ``size * eps`` is LAPACK's own, the
-    rounding left by the elimination steps before it.  Returns the
-    lower-trapezoidal size x r factor F, r the numerical rank, and the pivots.
+    ``size * eps * max diag(S)``, LAPACK's own cutoff: the rounding left by
+    the elimination steps before it.  Returns the lower-trapezoidal size x r
+    factor F, r the numerical rank, and the pivots.
     """
-    if rel_tol is None:
-        rel_tol = S.shape[0] * float(np.finfo(np.float64).eps)
-    diag_max = float(np.max(np.diag(S), initial=0.0))
-    c, piv, rank, info = dpstrf(S.T, tol=rel_tol * diag_max, lower=1, overwrite_a=1)
+    tol = S.shape[0] * float(np.finfo(np.float64).eps) * float(np.max(np.diag(S), initial=0.0))
+    c, piv, rank, info = dpstrf(S.T, tol=tol, lower=1, overwrite_a=1)
     if info < 0:
         raise NumericalError(f"dpstrf rejected argument {-info}")
     return np.tril(c[:, :rank]), piv - 1
 
 
-def pinv_apply(A, b, rel_tol: float | None = None) -> np.ndarray:
+def pinv_apply(A, b) -> np.ndarray:
     """Minimum-norm solution A^+ b for symmetric PSD A.
 
     A (symmetrized) is factored as P^T A P = F F^T by pivoted Cholesky, which
     stops once the largest residual diagonal is at most
-    ``rel_tol * max diag(A)``; the number of steps taken is the numerical
+    ``size * eps * max diag(A)``; the number of steps taken is the numerical
     rank r.  At full rank the solve is two triangular solves.  Below full
     rank the m x r factor F goes through a thin QR, F = Q R, and the result
     is Q (R R^T)^-1 Q^T b: the minimum-norm solution of the truncated
@@ -77,11 +75,9 @@ def pinv_apply(A, b, rel_tol: float | None = None) -> np.ndarray:
         raise InputError("pinv_apply expects a square matrix")
     if M.shape[0] != rhs.shape[0]:
         raise InputError(f"shape mismatch: {M.shape} vs {rhs.shape}")
-    if rel_tol is not None and not 0.0 < rel_tol < 1.0:
-        raise InputError("rel_tol must lie in (0, 1)")
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise InputError("matrix or right-hand side contains non-finite entries")
-    F, perm = _pivoted_cholesky(0.5 * (M + M.T), rel_tol)
+    F, perm = _pivoted_cholesky(0.5 * (M + M.T))
     rank = F.shape[1]
     if rank == 0:
         return np.zeros_like(rhs)

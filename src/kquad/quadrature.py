@@ -25,13 +25,10 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .greedy import greedy_select
-from .kernels import KernelSpec, _as_points, gram
+from .kernels import KernelSpec, _as_points, _kernel_matvec, gram
 from .numerics import pinv_apply
 from .sampling import approx_rls_pilot, sample_proportional, uniform_subsample
 from .specs import optional, parse_spec
-
-# Row block of the chunked kernel matvec.
-_CHUNK_ROWS = 1024
 
 # Method spec schema: every way to build a rule, in stream-id order.
 METHODS = {
@@ -127,10 +124,11 @@ def _check_analytic(kernel: KernelSpec, target: TargetMeasure, dim: int | None =
 def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarray:
     """v_j = E_{x ~ target} k(nodes_j, x).
 
-    Discrete targets are streamed in blocks so the m x n cross matrix is
-    never materialized; when the nodes are the target's own points, only the
-    blocks on and above the diagonal are evaluated (``_kernel_matvec``).  The
-    unit-cube target gives the constant vector 1.
+    Discrete targets are streamed tile by tile through the kernels' one
+    walk (``kernels._kernel_matvec``), so the m x n cross matrix is never
+    materialized; when the nodes are the target's own points, only the tiles
+    on and above the diagonal are evaluated.  The unit-cube target gives the
+    constant vector 1.
     """
     N = _as_points(nodes)
     if not target.is_discrete:
@@ -147,35 +145,6 @@ def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
         _check_analytic(kernel, target)
         return 1.0
     return math.fsum(target.masses * target_moments(kernel, target.points, target))
-
-
-def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
-    """K(X, Y) b, streamed over column blocks of _CHUNK_ROWS points of Y.
-
-    With Y None it is K(X, X) b, the kernel's own Theta(n^2) pass, from the
-    _CHUNK_ROWS-square blocks on and above the diagonal only: about half of
-    the n^2 kernel values.  An off-diagonal block K_IJ feeds its rows with
-    K_IJ b_J and the mirrored rows with a C-contiguous copy of its transpose
-    times b_I.  So every row gets the same per-block dot products, added in
-    the same column-block order, as in the full pass ``_kernel_matvec(kernel,
-    X, X, b)``; the two agree bit for bit as long as the BLAS matvec gives a
-    row the same dot product in a block as in a full-height panel.
-    """
-    v = np.zeros(X.shape[0])
-    if Y is not None:
-        for j0 in range(0, Y.shape[0], _CHUNK_ROWS):
-            v += gram(kernel, X, Y[j0 : j0 + _CHUNK_ROWS]) @ b[j0 : j0 + _CHUNK_ROWS]
-        return v
-    for j0 in range(0, X.shape[0], _CHUNK_ROWS):
-        J = slice(j0, j0 + _CHUNK_ROWS)
-        # row block j0 takes column blocks i0 < j0 from their mirrors, in order
-        for i0 in range(0, j0 + 1, _CHUNK_ROWS):
-            I = slice(i0, i0 + _CHUNK_ROWS)
-            K = gram(kernel, X[I], X[J])
-            v[I] += K @ b[J]
-            if i0 < j0:
-                v[J] += np.ascontiguousarray(K.T) @ b[I]
-    return v
 
 
 def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> QuadratureRule:
@@ -372,10 +341,19 @@ def save_rule(rule: QuadratureRule, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped; any
+    other bytes are an input error that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+
+
 def load_rule(path) -> QuadratureRule:
     """Read a rule written by save_rule."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    lines = [(k, line.strip()) for k, line in enumerate(_read_lines(path), 1) if line.strip()]
     if not lines or not lines[0][1].startswith("index,"):
         raise InputError(f"{path}: not a quadrature-rule CSV")
     ncols = len(lines[0][1].split(","))

@@ -25,7 +25,7 @@ from kquad.bench import (
     write_summary_csv,
 )
 from kquad.kernels import parse_kernel
-from kquad.quadrature import TargetMeasure, compress, optimal_weights, worst_case_error
+from kquad.quadrature import TargetMeasure, compress, load_rule, optimal_weights, worst_case_error
 from kquad.sampling import approx_rls_pilot, sample_proportional, uniform_subsample
 
 
@@ -62,6 +62,13 @@ def test_load_csv_header_detection(tmp_path):
     ds = load_csv(path)
     assert ds.points.shape == (2, 2)
     assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_load_csv_keeps_the_first_row_after_a_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.5\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]])
 
 
 def test_load_csv_errors(tmp_path):
@@ -348,7 +355,7 @@ def test_csv_round_trip_with_comma_bearing_method(tmp_path):
     assert lines[1].startswith(f'"{spec}",8,') and lines[3].startswith("uniform,8,")
 
 
-@pytest.mark.parametrize("reader", [load_csv, read_summary_csv, parse_config])
+@pytest.mark.parametrize("reader", [load_csv, read_summary_csv, parse_config, load_rule])
 def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader):
     bad = tmp_path / "blob.bin"
     bad.write_bytes(b"method,m\n\x89PNG\r\n\x1a\n\xff\xfe")
@@ -402,6 +409,14 @@ output = results.csv
     assert cfg.methods == ("uniform", "arls:lambda=auto,pilot=64", "fp-greedy")
     res = run_experiment(cfg)
     assert [r.method for r in res.rows].count("arls:lambda=auto,pilot=64") == 2 * 2
+
+
+def test_parse_config_reads_a_first_key_after_a_bom(tmp_path):
+    path = tmp_path / "bom.cfg"
+    lines = ["dataset = uniform_cube:d=1", "kernel = sobolev:s=1,d=1", "methods = uniform",
+             "m_grid = 8", "trials = 1", "master_seed = 3", "output = out.csv"]
+    path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8"))
+    assert parse_config(path).dataset == "uniform_cube:d=1"
 
 
 def test_parse_config_errors(tmp_path):

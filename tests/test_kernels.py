@@ -118,20 +118,21 @@ def test_gram_cross_matches_eval():
             assert G[i, j] == evaluate(kern, X[i], Y[j])
 
 
-def test_gram_chunking_consistent():
-    # force several row chunks through the assembly loop
+def test_gram_chunking_consistent(monkeypatch):
+    # force several tiles, at non-aligned n the last one partial, through the assembly loop
     rng = np.random.default_rng(4)
-    X = rng.standard_normal((23, 3))
     kern = gaussian(0.9)
-    old = kernels._BLOCK_ELEMS
-    kernels._BLOCK_ELEMS = 16
-    try:
-        G_small = gram(kern, X)
-        C_small = gram(kern, X[:9], X)
-    finally:
-        kernels._BLOCK_ELEMS = old
-    assert np.array_equal(G_small, gram(kern, X))
-    assert np.array_equal(C_small, gram(kern, X[:9], X))
+    for n in (1, 9, 23):
+        X = rng.standard_normal((n, 3))
+        G, C = gram(kern, X), gram(kern, X[:9], X)
+        for tile in (4, 2):
+            monkeypatch.setattr(kernels, "_TILE", tile)
+            G_small = gram(kern, X)
+            assert np.array_equal(G_small, G)
+            assert np.array_equal(G_small, G_small.T)
+            assert np.array_equal(G_small, gram(kern, X, X))
+            assert np.array_equal(gram(kern, X[:9], X), C)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -227,10 +228,13 @@ def test_median_heuristic_matches_einsum_oracle(d):
 
 
 def test_median_heuristic_chunking_consistent(monkeypatch):
-    X = np.random.default_rng(13).standard_normal((50, 3))
-    whole = median_heuristic(X, rng=np.random.default_rng(1))
-    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 120)  # blocks of 2 rows
-    assert median_heuristic(X, rng=np.random.default_rng(1)) == whole
+    for n in (2, 3, 50):
+        X = np.random.default_rng(13).standard_normal((n, 3))
+        whole = median_heuristic(X, rng=np.random.default_rng(1))
+        for tile in (7, 4, 2):
+            monkeypatch.setattr(kernels, "_TILE", tile)
+            assert median_heuristic(X, rng=np.random.default_rng(1)) == whole
+            monkeypatch.undo()
 
 
 def test_median_heuristic_errors():

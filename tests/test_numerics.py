@@ -104,8 +104,6 @@ def test_pinv_validation():
     with pytest.raises(InputError):
         pinv_apply(np.eye(2), [1.0, 2.0, 3.0])
     with pytest.raises(InputError):
-        pinv_apply(np.eye(2), [1.0, 2.0], rel_tol=2.0)
-    with pytest.raises(InputError):
         pinv_apply(np.array([[1.0, np.nan], [np.nan, 1.0]]), [1.0, 1.0])
     with pytest.raises(InputError):
         pinv_apply(np.eye(2), [1.0, np.inf])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kquad import InputError, NumericalError, quadrature
+from kquad import InputError, NumericalError, kernels, quadrature
 from kquad.greedy import greedy_select
 from kquad.kernels import evaluate, gaussian, gram, laplacian, periodic_sobolev
 from kquad.numerics import eig_sym
@@ -281,8 +281,8 @@ def symmetric_and_cross_pass(kern, X, b):
     """K(X, X) b by the half-size symmetric pass and by the full cross pass,
     and the bound 2 n eps (|K| |b|) on their difference: the same products
     summed in another order."""
-    sym = quadrature._kernel_matvec(kern, X, None, b)
-    cross = quadrature._kernel_matvec(kern, X, X, b)
+    sym = kernels._kernel_matvec(kern, X, None, b)
+    cross = kernels._kernel_matvec(kern, X, X, b)
     bound = 2 * X.shape[0] * EPS * (np.abs(gram(kern, X)) @ np.abs(b))
     return sym, cross, bound
 
@@ -319,26 +319,30 @@ def test_symmetric_kernel_matvec_property(seed, n, d, laplace, dirichlet):
 
 
 def test_symmetric_kernel_matvec_evaluates_the_upper_blocks(monkeypatch):
-    n, c = 2500, quadrature._CHUNK_ROWS
+    n, c = 10, 4
     X = np.random.default_rng(0).standard_normal((n, 2))
+    b = np.full(n, 1.0 / n)
+    whole = kernels._kernel_matvec(gaussian(1.0), X, None, b)
     shapes = []
 
     def counted_gram(kernel, A, B=None):
         shapes.append((A.shape[0], B.shape[0]))
         return gram(kernel, A, B)
 
-    monkeypatch.setattr(quadrature, "gram", counted_gram)
-    quadrature._kernel_matvec(gaussian(1.0), X, None, np.full(n, 1.0 / n))
-    sizes = [min(c, n - j) for j in range(0, n, c)]  # 1024, 1024, 452
+    monkeypatch.setattr(kernels, "gram", counted_gram)
+    monkeypatch.setattr(kernels, "_TILE", c)
+    tiled = kernels._kernel_matvec(gaussian(1.0), X, None, b)
+    sizes = [min(c, n - j) for j in range(0, n, c)]  # 4, 4, 2
     assert shapes == [(sizes[i], sizes[j]) for j in range(3) for i in range(j + 1)]
     assert sum(a * b for a, b in shapes) <= (n * n + n * c) / 2
+    assert np.all(np.abs(tiled - whole) <= 2 * n * EPS * whole)
 
 
 def test_own_points_take_the_symmetric_pass():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((1500, 2))
     kern, masses = laplacian(0.9), rng.dirichlet(np.ones(1500))
-    sym = quadrature._kernel_matvec(kern, X, None, masses)
+    sym = kernels._kernel_matvec(kern, X, None, masses)
     target = TargetMeasure.discrete(X, masses)
     assert np.array_equal(target_moments(kern, X, target), sym)
     assert np.array_equal(target_moments(kern, X.copy(), target), sym)
