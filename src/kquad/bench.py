@@ -80,7 +80,6 @@ class ExperimentConfig:
     standardize: bool = False
     target: str = "data"  # data | unit-cube
     timings: bool = True  # False zeroes the time columns for byte-stable CSVs
-    median_subset: int = 1000
     workers: int = 1
     allow_large_n: bool = False  # lift the n <= 2^14 cap on quadratic error evaluation
 
@@ -271,10 +270,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     grid, heads = _validate(config, points.shape[0])
 
     kernel = parse_kernel(
-        config.kernel,
-        points=points,
-        rng=derive_rng(config.master_seed, _BANDWIDTH_STREAM),
-        median_subset=config.median_subset,
+        config.kernel, points=points, rng=derive_rng(config.master_seed, _BANDWIDTH_STREAM)
     )
     # None is the discrete measure on the points, whose self-product comes
     # from the same kernel mean as every rule's moments
@@ -414,7 +410,6 @@ _CONFIG_KEYS = {
     "standardize": "bool",
     "target": str,
     "timings": "bool",
-    "median_subset": int,
     "workers": int,
     "allow_large_n": "bool",
 }

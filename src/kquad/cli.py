@@ -91,9 +91,10 @@ def _cmd_rates(args) -> int:
         errs = [r.error_median for r in rows]
         slope, _, r2 = spectral.rate_slope(ms, errs)
         pred = spectral.theoretical_rate_curve(curve, ms, **kwargs)
-        # anchor the overlay to the first measured point
-        scale = errs[0] / pred.predicted_error[0]
-        overlay = pred.predicted_error * scale
+        with np.errstate(all="ignore"):  # anchor the overlay to the first measured point
+            overlay = pred.predicted_error * (errs[0] / pred.predicted_error[0])
+        if not np.all(np.isfinite(overlay) & (overlay > 0.0)):
+            raise InputError(f"{method}: {pred.label} overlay anchored at m={ms[0]} is out of range")
         print(f"{method}: fitted slope {slope:+.3f} (r^2 {r2:.3f}) vs {pred.label}")
         for m, e, p in zip(ms, errs, overlay):
             out_rows.append([method, m, repr(e), repr(float(p))])

@@ -13,23 +13,27 @@ Three positive-definite families are supported:
   part.  In d > 1 the kernel is the coordinate-wise tensor product of the
   1-d kernels, which keeps the uniform-measure moments equal to one.
 
-All evaluations go through a single pairwise code path that builds a block
-coordinate by coordinate: the squared distance accumulates (a_k - b_k)^2 in
-order k = 0, ..., d-1, and the Sobolev product multiplies its per-coordinate
-factors in the same order.  (a - b)^2 == (b - a)^2 and |a - b| == |b - a|, so
-k(x, y) == k(y, x) holds bit-exactly, and no (a, b, d) difference tensor is
-ever formed: a block's temporaries are (a, b) arrays.
+All evaluations go through a single pairwise code path, ``_pairwise_block``.
+The Gaussian and Laplacian blocks take their squared distances from scipy's
+``cdist(A, B, "sqeuclidean")``, which adds (a_k - b_k)^2 in order
+k = 0, ..., d-1 (a test pins this against the sequential sum), and the
+Sobolev product multiplies its per-coordinate factors in the same order.
+(a - b)^2 == (b - a)^2 and |a - b| == |b - a|, so k(x, y) == k(y, x) holds
+bit-exactly, and no (a, b, d) difference tensor is ever formed: a block's
+temporaries are (a, b) arrays.  ``median_heuristic`` takes its distances from
+scipy's ``pdist``, the same sum followed by a square root.
 
 Every pass over kernel blocks takes its blocks from one walk, ``_tiles``:
 _TILE-square tiles, column blocks outer, and for a symmetric pass only the
-tiles on and above the diagonal.  ``gram`` assembles from it, the kernel
+tiles on and above the diagonal.  ``gram`` assembles from it and the kernel
 matvec ``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target)
-streams over it, and ``median_heuristic`` takes its distances from it.
+streams over it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +68,15 @@ class KernelSpec:
         if self.family not in ("gaussian", "laplacian", "sobolev"):
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family in ("gaussian", "laplacian"):
-            if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-                raise InputError("kernel bandwidth must be a positive real")
+            # the block divides by sigma^2 (gaussian) or sigma (laplacian): that
+            # scale and its reciprocal must be finite normal floats
+            s, tiny = float(self.bandwidth), sys.float_info.min
+            scale, name = (s * s, "sigma^2") if self.family == "gaussian" else (s, "sigma")
+            if not (s > 0 and tiny <= scale <= 1.0 / tiny):
+                raise InputError(
+                    f"kernel bandwidth must be a positive real with {name} and 1/{name} "
+                    f"finite normal floats, got {s!r}"
+                )
         else:
             if self.order not in SUPPORTED_ORDERS:
                 raise InputError(f"sobolev order must be one of {SUPPORTED_ORDERS}")
@@ -115,25 +126,11 @@ def _as_points(X, kernel: KernelSpec | None = None) -> np.ndarray:
     return P
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len(A), len(B)) squared Euclidean distances, accumulated coordinate by
-    coordinate in order k = 0, ..., d-1."""
-    d2 = np.subtract.outer(A[:, 0], B[:, 0])
-    d2 *= d2
-    if A.shape[1] > 1:
-        diff = np.empty_like(d2)
-        for k in range(1, A.shape[1]):
-            np.subtract.outer(A[:, k], B[:, k], out=diff)
-            diff *= diff
-            d2 += diff
-    return d2
-
-
 def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dense (len(A), len(B)) block of kernel values.
 
-    Built coordinate by coordinate from differences only, so swapping A and
-    B transposes the block bit-exactly.
+    Built from coordinate differences only, so swapping A and B transposes
+    the block bit-exactly.
     """
     if kernel.family == "sobolev":
         coef = _sobolev_coef(kernel.order)
@@ -147,7 +144,10 @@ def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndar
             else:
                 out *= factor
         return out
-    d2 = _sq_dists(A, B)
+    # imported here: scipy.spatial takes ~130 ms to load, which Sobolev-only runs skip
+    from scipy.spatial.distance import cdist
+
+    d2 = cdist(A, B, "sqeuclidean")
     if kernel.family == "gaussian":  # -0.5 * d2 / sigma^2, in that order
         d2 *= -0.5
         d2 /= kernel.bandwidth**2
@@ -169,9 +169,10 @@ def evaluate(kernel: KernelSpec, x, y) -> float:
 
 def _tiles(n: int, m: int | None = None):
     """(I, J) slice pairs that cut an n x m matrix into _TILE-square tiles,
-    column block J outer, row block I inner.  With m None the matrix is the
-    symmetric n x n one and only the tiles on and above the diagonal come,
-    I.start <= J.start; the caller mirrors the others."""
+    column block J outer, row block I inner; the walk of ``gram`` and
+    ``_kernel_matvec``.  With m None the matrix is the symmetric n x n one and
+    only the tiles on and above the diagonal come, I.start <= J.start; the
+    caller mirrors the others."""
     for j0 in range(0, n if m is None else m, _TILE):
         for i0 in range(0, j0 + 1 if m is None else n, _TILE):
             yield slice(i0, i0 + _TILE), slice(j0, j0 + _TILE)
@@ -180,10 +181,10 @@ def _tiles(n: int, m: int | None = None):
 def gram(kernel: KernelSpec, X, Y=None) -> np.ndarray:
     """Kernel matrix of X against Y (or the symmetric Gram of X if Y is None).
 
-    Assembled tile by tile over ``_tiles``, each tile coordinate by
-    coordinate (``_pairwise_block``).  The symmetric case evaluates the tiles
-    on and above the diagonal and mirrors them, so the result is symmetric to
-    zero absolute error and equal to ``gram(kernel, X, X)`` bit for bit.
+    Assembled tile by tile over ``_tiles``, each tile by ``_pairwise_block``.
+    The symmetric case evaluates the tiles on and above the diagonal and
+    mirrors them, so the result is symmetric to zero absolute error and equal
+    to ``gram(kernel, X, X)`` bit for bit.
     """
     A = _as_points(X, kernel)
     B = A if Y is None else _as_points(Y, kernel)
@@ -241,9 +242,13 @@ def sup_norm_bound(kernel: KernelSpec) -> float:
 def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None = None) -> float:
     """Median pairwise Euclidean distance over a random subset of X.
 
+    The distances of the subset's pairs come from scipy's ``pdist``.
     Deterministic given the generator state; raises if the median comes out
     zero (a bandwidth must be positive).
     """
+    # imported here: scipy.spatial takes ~130 ms to load, which Sobolev-only runs skip
+    from scipy.spatial.distance import pdist
+
     P = _as_points(X)
     n = P.shape[0]
     if n < 2:
@@ -252,14 +257,8 @@ def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None
         raise InputError("subset_size must be >= 2")
     if rng is None:
         rng = np.random.default_rng(0)
-    k = min(int(subset_size), n)
-    idx = rng.permutation(n)[:k]
-    S = P[idx]
-    dists = []
-    for I, J in _tiles(k):  # the pairs (i, j > i), from the kernels' own distance path
-        d2 = _sq_dists(S[I], S[J])
-        dists.append(d2[np.triu_indices(d2.shape[0], 1)] if I == J else d2.ravel())
-    med = float(np.median(np.sqrt(np.concatenate(dists))))
+    idx = rng.permutation(n)[: min(int(subset_size), n)]
+    med = float(np.median(pdist(P[idx])))
     if med <= 0.0:
         raise InputError("median inter-point distance is zero; bandwidth must be positive")
     return med
@@ -275,16 +274,12 @@ KERNELS = {
 }
 
 
-def parse_kernel(
-    text: str,
-    points=None,
-    rng: np.random.Generator | None = None,
-    median_subset: int = 1000,
-) -> KernelSpec:
+def parse_kernel(text: str, points=None, rng: np.random.Generator | None = None) -> KernelSpec:
     """Build a KernelSpec from a selector string.
 
     Grammar: ``gaussian:sigma=<float|median>``, ``laplacian:sigma=<float|median>``,
-    ``sobolev:s=<int>,d=<int>``.  ``sigma=median`` requires ``points``.
+    ``sobolev:s=<int>,d=<int>``.  ``sigma=median`` requires ``points`` and
+    takes the median heuristic over a random subset of 1000 of them.
     """
     family, params = parse_spec(text, "kernel", KERNELS)
     if family == "sobolev":
@@ -293,5 +288,5 @@ def parse_kernel(
     if sigma is None:
         if points is None:
             raise InputError("sigma=median requires data points")
-        sigma = median_heuristic(points, subset_size=median_subset, rng=rng)
+        sigma = median_heuristic(points, rng=rng)
     return KernelSpec(family=family, bandwidth=sigma)

@@ -60,14 +60,15 @@ def _pivoted_cholesky(S: np.ndarray):
 def pinv_apply(A, b) -> np.ndarray:
     """Minimum-norm solution A^+ b for symmetric PSD A.
 
-    A (symmetrized) is factored as P^T A P = F F^T by pivoted Cholesky, which
-    stops once the largest residual diagonal is at most
-    ``size * eps * max diag(A)``; the number of steps taken is the numerical
-    rank r.  At full rank the solve is two triangular solves.  Below full
-    rank the m x r factor F goes through a thin QR, F = Q R, and the result
-    is Q (R R^T)^-1 Q^T b: the minimum-norm solution of the truncated
-    system, so weight on duplicate rows is split evenly.  An all-zero A
-    yields the zero vector (minimum-norm convention), not an error.
+    A is factored as P^T A P = F F^T by pivoted Cholesky, which reads only
+    the upper triangle of A (diagonal included) and stops once the largest
+    residual diagonal is at most ``size * eps * max diag(A)``; the number of
+    steps taken is the numerical rank r.  At full rank the solve is two
+    triangular solves.  Below full rank the m x r factor F goes through a
+    thin QR, F = Q R, and the result is Q (R R^T)^-1 Q^T b: the minimum-norm
+    solution of the truncated system, so weight on duplicate rows is split
+    evenly.  An all-zero A yields the zero vector (minimum-norm convention),
+    not an error.
     """
     M = np.asarray(A, dtype=np.float64)
     rhs = np.asarray(b, dtype=np.float64).ravel()
@@ -77,7 +78,7 @@ def pinv_apply(A, b) -> np.ndarray:
         raise InputError(f"shape mismatch: {M.shape} vs {rhs.shape}")
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise InputError("matrix or right-hand side contains non-finite entries")
-    F, perm = _pivoted_cholesky(0.5 * (M + M.T))
+    F, perm = _pivoted_cholesky(M.copy())  # dpstrf overwrites its input
     rank = F.shape[1]
     if rank == 0:
         return np.zeros_like(rhs)

@@ -206,40 +206,44 @@ def theoretical_rate_curve(
     arls-exp:     m^(1/4) / exp(sqrt(m) / c)
     monte-carlo:  m^(-1/2)
 
-    with gamma in (0, 1] (as in ``DecayModel``), c > 0 finite, s, d >= 1.
+    with gamma in (0, 1] (as in ``DecayModel``), c > 0 finite, s, d >= 1; a
+    curve that overflows or underflows at some m is an input error.
     """
     m = np.asarray(m_values, dtype=np.float64).ravel()
     if np.any(m < 2):
         raise InputError("m values must be >= 2")
     if curve in ("uniform-poly", "arls-poly") and not (gamma is not None and 0 < gamma <= 1):
         raise InputError(f"{curve} curve needs gamma in (0, 1], got {gamma}")
-    if curve == "sobolev":
-        if s is None or d is None or not (s >= 1 and d >= 1):
-            raise InputError(f"sobolev curve needs s >= 1 and d >= 1, got s={s}, d={d}")
-        expo = s / d
-        pred = np.log(m) ** expo / m**expo
-        label = f"sobolev(s={s},d={d})"
-    elif curve == "uniform-poly":
-        expo = 1.0 - gamma / 2.0
-        pred = np.log(m) ** expo / m**expo
-        label = f"uniform-poly(gamma={gamma})"
-    elif curve == "uniform-exp":
-        pred = np.log(m) / m
-        label = "uniform-exp"
-    elif curve == "arls-poly":
-        expo = 1.0 / (2.0 * gamma)
-        pred = np.log(m) ** expo / m**expo
-        label = f"arls-poly(gamma={gamma})"
-    elif curve == "arls-exp":
-        if c is None or not 0 < c < math.inf:
-            raise InputError(f"arls-exp curve needs a positive finite constant c, got {c}")
-        pred = m**0.25 / np.exp(np.sqrt(m) / c)
-        label = f"arls-exp(c={c})"
-    elif curve == "monte-carlo":
-        pred = m**-0.5
-        label = "monte-carlo"
-    else:
-        raise InputError(f"unknown curve {curve!r}; expected one of {tuple(CURVES)}")
+    with np.errstate(all="ignore"):  # extreme exponents; the result is checked below
+        if curve == "sobolev":
+            if s is None or d is None or not (s >= 1 and d >= 1):
+                raise InputError(f"sobolev curve needs s >= 1 and d >= 1, got s={s}, d={d}")
+            expo = s / d
+            pred = np.log(m) ** expo / m**expo
+            label = f"sobolev(s={s},d={d})"
+        elif curve == "uniform-poly":
+            expo = 1.0 - gamma / 2.0
+            pred = np.log(m) ** expo / m**expo
+            label = f"uniform-poly(gamma={gamma})"
+        elif curve == "uniform-exp":
+            pred = np.log(m) / m
+            label = "uniform-exp"
+        elif curve == "arls-poly":
+            expo = 1.0 / (2.0 * gamma)
+            pred = np.log(m) ** expo / m**expo
+            label = f"arls-poly(gamma={gamma})"
+        elif curve == "arls-exp":
+            if c is None or not 0 < c < math.inf:
+                raise InputError(f"arls-exp curve needs a positive finite constant c, got {c}")
+            pred = m**0.25 / np.exp(np.sqrt(m) / c)
+            label = f"arls-exp(c={c})"
+        elif curve == "monte-carlo":
+            pred = m**-0.5
+            label = "monte-carlo"
+        else:
+            raise InputError(f"unknown curve {curve!r}; expected one of {tuple(CURVES)}")
+    if not np.all(np.isfinite(pred) & (pred > 0.0)):
+        raise InputError(f"{label} curve is not a finite positive float at every m")
     return RatePrediction(m_values=m, predicted_error=constant * pred, label=label)
 
 

@@ -36,10 +36,24 @@ def pairwise_block_einsum(kernel, A, B):
                 3: lambda: u * u * u - 0.5 * u * u + 1.0 / 42.0}[s]()
         coef = (-1.0) ** (s - 1) * (2.0 * math.pi) ** (2 * s) / math.factorial(2 * s)
         return np.prod(1.0 + coef * bern, axis=-1)
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return radial_block(kernel, np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def radial_block(kernel, d2):
+    """Gaussian or Laplacian kernel values from squared distances d2, with the
+    same floating-point steps per value as kquad."""
     if kernel.family == "gaussian":
         return np.exp(-0.5 * d2 / kernel.bandwidth**2)
     return np.exp(-np.sqrt(d2) / kernel.bandwidth)
+
+
+def sq_dists_sequential(A, B):
+    """(len(A), len(B)) squared Euclidean distances, (a_k - b_k)^2 added one
+    coordinate at a time in order k = 0, ..., d-1."""
+    d2 = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        d2 += np.subtract.outer(A[:, k], B[:, k]) ** 2
+    return d2
 
 
 def pairwise_distances_einsum(S):

@@ -374,3 +374,44 @@ def test_rates_malformed_summary_exit_code(tmp_path, capsys, row, problem):
     err = capsys.readouterr().err
     where = f"{summary}:4: " if row.count("\n") == 0 else ""
     assert err.startswith(f"error: {where}") and problem in err
+
+
+# warnings are errors here, so a RuntimeWarning, like an uncaught exception, fails the test
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kernel", ["gaussian:sigma=1e300", "gaussian:sigma=1e-300", "laplacian:sigma=1e-320"]
+)
+def test_compress_out_of_range_bandwidth_exit_code(data_csv, tmp_path, capsys, kernel):
+    path, _ = data_csv
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", kernel,
+        "--method", "uniform",
+        "--m", "4",
+        "--seed", "0",
+        "--output", str(tmp_path / "r.csv"),
+    ]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: kernel bandwidth")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "first, spec",
+    [
+        ("0.1", "arls-poly:gamma=1e-300"),  # the curve overflows, then inf / inf
+        ("0.1", "sobolev:s=100000,d=1"),
+        ("1e300", "arls-poly:gamma=0.03"),  # a finite curve, but 1e300 / 1e-10 overflows
+    ],
+)
+def test_rates_out_of_range_curve_exit_code(tmp_path, capsys, first, spec):
+    summary = tmp_path / "s_summary.csv"
+    summary.write_text(
+        "method,m,error_median,error_std,time_median\n"
+        f"uniform,8,{first},0.0,0.0\nuniform,16,0.05,0.0,0.0\nuniform,32,0.02,0.0,0.0\n",
+        encoding="utf-8",
+    )
+    argv = ["rates", "--summary", str(summary), "--model", spec]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")

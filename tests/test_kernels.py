@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from kquad.kernels import (
 from oracles import (
     pairwise_block_einsum,
     pairwise_distances_einsum,
+    radial_block,
     sobolev_series_1d,
+    sq_dists_sequential,
     zeta_series,
 )
 
@@ -135,7 +140,7 @@ def test_gram_chunking_consistent(monkeypatch):
             monkeypatch.undo()
 
 
-@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("d", [*range(1, 11), 13, 33])
 @pytest.mark.parametrize("family", [gaussian, laplacian])
 def test_pairwise_block_matches_einsum_oracle(family, d):
     rng = np.random.default_rng(d)
@@ -148,6 +153,8 @@ def test_pairwise_block_matches_einsum_oracle(family, d):
         # both squared distances lie within (d - 1) rounding units of the
         # exact sum; exp turns that into an absolute error in its exponent
         assert np.all(np.abs(got - old) <= d * EPS * (1.0 - np.log(old)) * old)
+        # scipy's cdist adds (a_k - b_k)^2 in coordinate order, as the sequential sum does
+        assert np.array_equal(got, radial_block(kern, sq_dists_sequential(A, B)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -219,22 +226,15 @@ def test_median_heuristic_deterministic():
     assert c != a  # different subset, generically different median
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_median_heuristic_matches_einsum_oracle(d):
     X = np.random.default_rng(d).standard_normal((300, d))
     got = median_heuristic(X, subset_size=120, rng=np.random.default_rng(9))
     S = X[np.random.default_rng(9).permutation(300)[:120]]
-    assert got == float(np.median(pairwise_distances_einsum(S)))
-
-
-def test_median_heuristic_chunking_consistent(monkeypatch):
-    for n in (2, 3, 50):
-        X = np.random.default_rng(13).standard_normal((n, 3))
-        whole = median_heuristic(X, rng=np.random.default_rng(1))
-        for tile in (7, 4, 2):
-            monkeypatch.setattr(kernels, "_TILE", tile)
-            assert median_heuristic(X, rng=np.random.default_rng(1)) == whole
-            monkeypatch.undo()
+    if d <= 2:  # einsum adds the same terms in the same order
+        assert got == float(np.median(pairwise_distances_einsum(S)))
+    pairs = np.sqrt(sq_dists_sequential(S, S)[np.triu_indices(120, 1)])
+    assert got == float(np.median(pairs))
 
 
 def test_median_heuristic_errors():
@@ -264,3 +264,11 @@ def test_parse_kernel():
         parse_kernel("sobolev:s=two")
     with pytest.raises(InputError):
         parse_kernel("gaussian:sigma=1,extra=2")
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # kernels imports scipy.spatial inside the two functions that need it
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    code = "import sys, kquad; sys.exit(any(m.startswith('scipy.spatial') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

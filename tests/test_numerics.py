@@ -109,6 +109,19 @@ def test_pinv_validation():
         pinv_apply(np.eye(2), [1.0, np.inf])
 
 
+@pytest.mark.parametrize("rank", [3, 7])
+def test_pinv_reads_only_the_upper_triangle(rank):
+    rng = np.random.default_rng(6)
+    B = rng.standard_normal((7, rank))
+    A = B @ B.T
+    b = rng.standard_normal(7)
+    garbage = A.copy()
+    garbage[np.tril_indices(7, -1)] = 1e3 * rng.standard_normal(21)
+    kept = garbage.copy()
+    assert np.array_equal(pinv_apply(garbage, b), pinv_apply(A, b))
+    assert np.array_equal(garbage, kept)  # the caller's matrix is not overwritten
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
