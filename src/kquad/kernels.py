@@ -13,7 +13,7 @@ Three positive-definite families are supported:
   part.  In d > 1 the kernel is the coordinate-wise tensor product of the
   1-d kernels, which keeps the uniform-measure moments equal to one.
 
-All evaluations go through a single pairwise code path, ``_pairwise_block``.
+All evaluations go through one in-place pairwise code path, ``_pairwise_block``.
 The Gaussian and Laplacian blocks take their squared distances from scipy's
 ``cdist(A, B, "sqeuclidean")``, which adds (a_k - b_k)^2 in order
 k = 0, ..., d-1 (a test pins this against the sequential sum), and the
@@ -23,11 +23,10 @@ bit-exactly, and no (a, b, d) difference tensor is ever formed: a block's
 temporaries are (a, b) arrays.  ``median_heuristic`` takes its distances from
 scipy's ``pdist``, the same sum followed by a square root.
 
-Every pass over kernel blocks takes its blocks from one walk, ``_tiles``:
-_TILE-square tiles, column blocks outer, and for a symmetric pass only the
-tiles on and above the diagonal.  ``gram`` assembles from it and the kernel
-matvec ``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target)
-streams over it.
+``_fill`` evaluates an (a, b) array in row strips of about _STRIP values that
+stay in cache; ``gram`` is one fill of its output.  The kernel matvec
+``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target) fills
+_TILE-square tiles, which fix the bits of its BLAS row sums, in one buffer.
 """
 
 from __future__ import annotations
@@ -46,9 +45,13 @@ SUPPORTED_ORDERS = (1, 2, 3)
 # zeta(2s) for the supported orders; k_s(x, x) = 1 + 2 zeta(2s) per coordinate.
 _ZETA_EVEN = {1: math.pi**2 / 6.0, 2: math.pi**4 / 90.0, 3: math.pi**6 / 945.0}
 
-# Side of the square tiles every kernel pass is cut into; a full tile's two
-# temporaries take 8 MB each.
+# Side of the square tiles of the kernel matvec: a row's sum over a tile is one
+# BLAS dot product, so the tile shape fixes the bits of K b.
 _TILE = 1024
+
+# Kernel values per row strip of a fill (512 KiB): a strip and its Sobolev
+# temporaries stay in a core's L2 cache.
+_STRIP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,19 +99,25 @@ def periodic_sobolev(order: int, dim: int = 1) -> KernelSpec:
     return KernelSpec(family="sobolev", order=int(order), dim=int(dim))
 
 
-def _sobolev_coef(order: int) -> float:
-    # (-1)^(s-1) (2 pi)^(2s) / (2s)!
-    return (-1.0) ** (order - 1) * (2.0 * math.pi) ** (2 * order) / math.factorial(2 * order)
-
-
-def _bernoulli_even(order: int, t: np.ndarray) -> np.ndarray:
-    """B_{2s}(t) for s in {1, 2, 3}, written in terms of u = t(t - 1)."""
-    u = t * (t - 1.0)
+def _sobolev_factor(order: int, t: np.ndarray, w: np.ndarray, z: np.ndarray) -> None:
+    """1 + (-1)^(s-1) (2 pi)^(2s) / (2s)! * B_{2s}(t), s in {1, 2, 3}, in place of t,
+    B_{2s} in terms of u = t(t - 1); w and z are scratch arrays of t's shape."""
+    np.subtract(t, 1.0, out=w)
+    t *= w
     if order == 1:
-        return u + 1.0 / 6.0
-    if order == 2:
-        return u * u - 1.0 / 30.0
-    return u * u * u - 0.5 * u * u + 1.0 / 42.0
+        t += 1.0 / 6.0
+    elif order == 2:
+        t *= t
+        t -= 1.0 / 30.0
+    else:  # u * u * u - 0.5 * u * u + 1 / 42, in that order
+        np.multiply(t, t, out=w)
+        w *= t
+        np.multiply(t, 0.5, out=z)
+        z *= t
+        np.subtract(w, z, out=t)
+        t += 1.0 / 42.0
+    t *= (-1.0) ** (order - 1) * (2.0 * math.pi) ** (2 * order) / math.factorial(2 * order)
+    t += 1.0
 
 
 def _as_points(X, kernel: KernelSpec | None = None) -> np.ndarray:
@@ -126,109 +135,98 @@ def _as_points(X, kernel: KernelSpec | None = None) -> np.ndarray:
     return P
 
 
-def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dense (len(A), len(B)) block of kernel values.
+def _point_pair(kernel: KernelSpec, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Validated point arrays of X and Y (X again if Y is None)."""
+    A = _as_points(X, kernel)
+    B = A if Y is None else _as_points(Y, kernel)
+    if A.shape[1] != B.shape[1]:
+        raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    return A, B
 
-    Built from coordinate differences only, so swapping A and B transposes
-    the block bit-exactly.
-    """
+
+def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray, work):
+    """Write the (len(A), len(B)) block of kernel values into the C-contiguous
+    out, in place; Sobolev also uses the rows of the (3, >= out.size) array
+    work.  Built from coordinate differences only, so swapping A and B
+    transposes the block bit-exactly."""
     if kernel.family == "sobolev":
-        coef = _sobolev_coef(kernel.order)
-        out = None
+        factor, w, z = (row.reshape(out.shape) for row in work[:, : out.size])
         for k in range(A.shape[1]):
-            t = np.abs(np.subtract.outer(A[:, k], B[:, k]))
-            t -= np.floor(t)
-            factor = 1.0 + coef * _bernoulli_even(kernel.order, t)
-            if out is None:
-                out = factor
-            else:
-                out *= factor
-        return out
+            t = out if k == 0 else factor
+            np.subtract.outer(A[:, k], B[:, k], out=t)
+            np.abs(t, out=t)
+            t -= np.floor(t, out=w)
+            _sobolev_factor(kernel.order, t, w, z)
+            if k:
+                out *= t
+        return
     # imported here: scipy.spatial takes ~130 ms to load, which Sobolev-only runs skip
     from scipy.spatial.distance import cdist
 
-    d2 = cdist(A, B, "sqeuclidean")
-    if kernel.family == "gaussian":  # -0.5 * d2 / sigma^2, in that order
-        d2 *= -0.5
-        d2 /= kernel.bandwidth**2
-    else:  # -sqrt(d2) / sigma
-        np.sqrt(d2, out=d2)
-        np.negative(d2, out=d2)
-        d2 /= kernel.bandwidth
-    return np.exp(d2, out=d2)
+    cdist(A, B, "sqeuclidean", out=out)
+    # distances far above sigma overflow to -inf, and exp(-inf) = 0 is their value
+    with np.errstate(over="ignore"):
+        if kernel.family == "gaussian":  # -0.5 * d2 / sigma^2, in that order
+            out *= -0.5
+            out /= kernel.bandwidth**2
+        else:  # -sqrt(d2) / sigma
+            np.sqrt(out, out=out)
+            np.negative(out, out=out)
+            out /= kernel.bandwidth
+    np.exp(out, out=out)
+
+
+def _fill(kernel: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous (len(A), len(B)) array out with k(A_i, B_j), row
+    strip by row strip, each strip about _STRIP values; returns out."""
+    rows = min(A.shape[0], max(1, _STRIP // B.shape[0]))
+    work = np.empty((3, rows * B.shape[0])) if kernel.family == "sobolev" else None
+    for i0 in range(0, A.shape[0], rows):
+        _pairwise_block(kernel, A[i0 : i0 + rows], B, out[i0 : i0 + rows], work)
+    return out
 
 
 def evaluate(kernel: KernelSpec, x, y) -> float:
     """Single kernel evaluation k(x, y)."""
-    a = _as_points(np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :], kernel)
-    b = _as_points(np.atleast_1d(np.asarray(y, dtype=np.float64))[None, :], kernel)
-    if a.shape[1] != b.shape[1]:
-        raise InputError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return float(_pairwise_block(kernel, a, b)[0, 0])
-
-
-def _tiles(n: int, m: int | None = None):
-    """(I, J) slice pairs that cut an n x m matrix into _TILE-square tiles,
-    column block J outer, row block I inner; the walk of ``gram`` and
-    ``_kernel_matvec``.  With m None the matrix is the symmetric n x n one and
-    only the tiles on and above the diagonal come, I.start <= J.start; the
-    caller mirrors the others."""
-    for j0 in range(0, n if m is None else m, _TILE):
-        for i0 in range(0, j0 + 1 if m is None else n, _TILE):
-            yield slice(i0, i0 + _TILE), slice(j0, j0 + _TILE)
+    a = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
+    return float(gram(kernel, a, np.atleast_1d(np.asarray(y, dtype=np.float64))[None, :])[0, 0])
 
 
 def gram(kernel: KernelSpec, X, Y=None) -> np.ndarray:
     """Kernel matrix of X against Y (or the symmetric Gram of X if Y is None).
 
-    Assembled tile by tile over ``_tiles``, each tile by ``_pairwise_block``.
-    The symmetric case evaluates the tiles on and above the diagonal and
-    mirrors them, so the result is symmetric to zero absolute error and equal
-    to ``gram(kernel, X, X)`` bit for bit.
+    One ``_fill`` of the output, whose full-width row strips are contiguous in
+    it.  k(x, y) == k(y, x) bit for bit, so ``gram(X)`` is symmetric to zero
+    absolute error and equal to ``gram(kernel, X, X)``.
     """
-    A = _as_points(X, kernel)
-    B = A if Y is None else _as_points(Y, kernel)
-    if A.shape[1] != B.shape[1]:
-        raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    out = np.empty((A.shape[0], B.shape[0]))
-    for I, J in _tiles(A.shape[0], None if Y is None else B.shape[0]):
-        K = out[I, J] = _pairwise_block(kernel, A[I], B[J])
-        if Y is None and I != J:
-            out[J, I] = K.T  # from the contiguous tile, not its strided copy in out
-    return out
+    A, B = _point_pair(kernel, X, Y)
+    return _fill(kernel, A, B, np.empty((A.shape[0], B.shape[0])))
 
 
 def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
-    """K(X, Y) b over the tiles of ``_tiles``, never holding more than one.
+    """K(X, Y) b, or K(X, X) b with Y None, never holding more than one tile.
 
-    With Y None it is K(X, X) b, the kernel's own Theta(n^2) pass, from the
-    tiles on and above the diagonal only: about half of the n^2 kernel
-    values.  An off-diagonal tile K_IJ feeds its rows with K_IJ b_J and the
-    mirrored rows with a C-contiguous copy of its transpose times b_I.  So
-    every row gets the same per-tile dot products, added in the same
-    column-block order, as in the full pass ``_kernel_matvec(kernel, X, X,
-    b)``; the two agree bit for bit as long as the BLAS matvec gives a row
-    the same dot product in every tile.
+    The walk takes _TILE-square tiles, column block J outer and row block I
+    inner; each tile K_IJ is filled into one reused buffer and adds K_IJ b_J to
+    its rows.  So every row sums the same per-tile BLAS dot products in
+    column-block order, whatever the other rows are.
     """
-    v = np.zeros(X.shape[0])
-    for I, J in _tiles(X.shape[0], None if Y is None else Y.shape[0]):
-        K = gram(kernel, X[I], (X if Y is None else Y)[J])
-        v[I] += K @ b[J]
-        if Y is None and I != J:
-            v[J] += np.ascontiguousarray(K.T) @ b[I]
+    A, B = _point_pair(kernel, X, Y)
+    v = np.zeros(A.shape[0])
+    buf = np.empty(min(_TILE, A.shape[0]) * min(_TILE, B.shape[0]))
+    for j0 in range(0, B.shape[0], _TILE):
+        for i0 in range(0, A.shape[0], _TILE):
+            Ai, Bj = A[i0 : i0 + _TILE], B[j0 : j0 + _TILE]
+            K = _fill(kernel, Ai, Bj, buf[: len(Ai) * len(Bj)].reshape(len(Ai), len(Bj)))
+            v[i0 : i0 + _TILE] += K @ b[j0 : j0 + _TILE]
     return v
 
 
 def diagonal(kernel: KernelSpec, X) -> np.ndarray:
     """Vector of k(x, x) for each row of X."""
     A = _as_points(X, kernel)
-    if kernel.family == "sobolev":
-        per_coord = 1.0 + _sobolev_coef(kernel.order) * float(
-            _bernoulli_even(kernel.order, np.zeros(1))[0]
-        )
-        # same reduction order as the pairwise path
-        value = float(np.prod(np.full(kernel.dim, per_coord)))
-        return np.full(A.shape[0], value)
+    if kernel.family == "sobolev":  # k(x, x) = k(0, 0), by the pairwise path
+        return np.full(A.shape[0], evaluate(kernel, np.zeros(kernel.dim), np.zeros(kernel.dim)))
     return np.ones(A.shape[0])
 
 

@@ -47,14 +47,15 @@ def _pivoted_cholesky(S: np.ndarray):
 
     It stops once the largest residual diagonal is at most
     ``size * eps * max diag(S)``, LAPACK's own cutoff: the rounding left by
-    the elimination steps before it.  Returns the lower-trapezoidal size x r
-    factor F, r the numerical rank, and the pivots.
+    the elimination steps before it.  Returns the size x r factor F, r the
+    numerical rank, in the lower trapezoid of a C-ordered array (entries of S
+    lie above it), and the pivots.
     """
     tol = S.shape[0] * float(np.finfo(np.float64).eps) * float(np.max(np.diag(S), initial=0.0))
     c, piv, rank, info = dpstrf(S.T, tol=tol, lower=1, overwrite_a=1)
     if info < 0:
         raise NumericalError(f"dpstrf rejected argument {-info}")
-    return np.tril(c[:, :rank]), piv - 1
+    return np.ascontiguousarray(c[:, :rank]), piv - 1
 
 
 def pinv_apply(A, b) -> np.ndarray:
@@ -88,7 +89,7 @@ def pinv_apply(A, b) -> np.ndarray:
         z = solve_triangular(F, y, lower=True, check_finite=False)
         out[perm] = solve_triangular(F, z, lower=True, trans="T", check_finite=False)
         return out
-    Q, R = qr(F, mode="economic", check_finite=False)
+    Q, R = qr(np.tril(F), mode="economic", check_finite=False)
     t = solve_triangular(R, Q.T @ y, lower=False, check_finite=False)
     out[perm] = Q @ solve_triangular(R, t, lower=False, trans="T", check_finite=False)
     return out

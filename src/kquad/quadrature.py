@@ -124,18 +124,16 @@ def _check_analytic(kernel: KernelSpec, target: TargetMeasure, dim: int | None =
 def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarray:
     """v_j = E_{x ~ target} k(nodes_j, x).
 
-    Discrete targets are streamed tile by tile through the kernels' one
-    walk (``kernels._kernel_matvec``), so the m x n cross matrix is never
-    materialized; when the nodes are the target's own points, only the tiles
-    on and above the diagonal are evaluated.  The unit-cube target gives the
-    constant vector 1.
+    Discrete targets are streamed tile by tile through the kernel matvec
+    (``kernels._kernel_matvec``), so the m x n cross matrix is never
+    materialized; the target's own points take the same pass.  The unit-cube
+    target gives the constant vector 1.
     """
     N = _as_points(nodes)
     if not target.is_discrete:
         _check_analytic(kernel, target, dim=N.shape[1])
         return np.ones(N.shape[0])
-    Y = None if np.array_equal(N, target.points) else target.points
-    return _kernel_matvec(kernel, N, Y, target.masses)
+    return _kernel_matvec(kernel, N, target.points, target.masses)
 
 
 def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:

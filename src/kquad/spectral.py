@@ -218,7 +218,8 @@ def theoretical_rate_curve(
         if curve == "sobolev":
             if s is None or d is None or not (s >= 1 and d >= 1):
                 raise InputError(f"sobolev curve needs s >= 1 and d >= 1, got s={s}, d={d}")
-            expo = s / d
+            # int s / d beyond the float range raises; such a curve is out of range anyway
+            expo = s / d if s < 2.0**1023 else math.inf
             pred = np.log(m) ** expo / m**expo
             label = f"sobolev(s={s},d={d})"
         elif curve == "uniform-poly":
@@ -256,6 +257,8 @@ def rate_slope(m_values, errors) -> tuple[float, float, float]:
     e = np.asarray(errors, dtype=np.float64).ravel()
     if m.size != e.size or m.size < 3:
         raise InputError("need at least 3 (m, error) pairs")
+    if np.any(m < 2):
+        raise InputError("m values must be >= 2")
     if np.any(e <= 0.0):
         raise InputError("errors must be positive for a log-log fit")
     x = np.log(m)

@@ -403,6 +403,8 @@ def test_compress_out_of_range_bandwidth_exit_code(data_csv, tmp_path, capsys, k
         ("0.1", "arls-poly:gamma=1e-300"),  # the curve overflows, then inf / inf
         ("0.1", "sobolev:s=100000,d=1"),
         ("1e300", "arls-poly:gamma=0.03"),  # a finite curve, but 1e300 / 1e-10 overflows
+        # s / d of two Python ints beyond the float range
+        pytest.param("0.1", f"sobolev:s=1{'0' * 400},d=1", id="0.1-sobolev:s=1e400,d=1"),
     ],
 )
 def test_rates_out_of_range_curve_exit_code(tmp_path, capsys, first, spec):
@@ -415,3 +417,36 @@ def test_rates_out_of_range_curve_exit_code(tmp_path, capsys, first, spec):
     argv = ["rates", "--summary", str(summary), "--model", spec]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("error")
+def test_rates_nonpositive_m_exit_code(tmp_path, capsys):
+    summary = tmp_path / "s_summary.csv"
+    summary.write_text(
+        "method,m,error_median,error_std,time_median\n"
+        "uniform,0,0.1,0.0,0.0\nuniform,16,0.05,0.0,0.0\nuniform,32,0.02,0.0,0.0\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["rates", "--summary", str(summary), "--model", "uniform-exp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: m values must be >= 2")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_compress_far_points_small_sigma(tmp_path, capsys):
+    # squared distances far above sigma^2 overflow -0.5 d2 / sigma^2 to -inf: k = exp(-inf) = 0
+    path = tmp_path / "far.csv"
+    path.write_text("0,0\n1e5,0\n3e5,1\n", encoding="utf-8")
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", "gaussian:sigma=1e-150",
+        "--method", "uniform",
+        "--m", "2",
+        "--seed", "0",
+        "--output", str(tmp_path / "r.csv"),
+    ]
+    assert cli.main(argv) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert len(load_rule(tmp_path / "r.csv")) == 2

@@ -124,14 +124,14 @@ def test_gram_cross_matches_eval():
 
 
 def test_gram_chunking_consistent(monkeypatch):
-    # force several tiles, at non-aligned n the last one partial, through the assembly loop
+    # force several row strips, at non-aligned n the last one partial, through the fill loop
     rng = np.random.default_rng(4)
     kern = gaussian(0.9)
     for n in (1, 9, 23):
         X = rng.standard_normal((n, 3))
         G, C = gram(kern, X), gram(kern, X[:9], X)
-        for tile in (4, 2):
-            monkeypatch.setattr(kernels, "_TILE", tile)
+        for strip in (1, 3 * n, 7):  # strips of 1 row, 3 rows, 7 values
+            monkeypatch.setattr(kernels, "_STRIP", strip)
             G_small = gram(kern, X)
             assert np.array_equal(G_small, G)
             assert np.array_equal(G_small, G_small.T)
@@ -146,7 +146,7 @@ def test_pairwise_block_matches_einsum_oracle(family, d):
     rng = np.random.default_rng(d)
     A, B = rng.standard_normal((31, d)), rng.standard_normal((17, d))
     kern = family(0.5 * math.sqrt(d))
-    got, old = kernels._pairwise_block(kern, A, B), pairwise_block_einsum(kern, A, B)
+    got, old = gram(kern, A, B), pairwise_block_einsum(kern, A, B)
     if d <= 2:  # the same additions in the same order
         assert np.array_equal(got, old)
     else:
@@ -159,11 +159,15 @@ def test_pairwise_block_matches_einsum_oracle(family, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_sobolev_product_matches_einsum_oracle(order, d):
+def test_sobolev_product_matches_einsum_oracle(monkeypatch, order, d):
     rng = np.random.default_rng(10 * order + d)
     A, B = rng.random((29, d)), rng.random((13, d))
     kern = periodic_sobolev(order, d)
-    assert np.array_equal(kernels._pairwise_block(kern, A, B), pairwise_block_einsum(kern, A, B))
+    whole = gram(kern, A, B)
+    assert np.array_equal(whole, pairwise_block_einsum(kern, A, B))
+    # strips of 3 rows, the last one of 2, reuse the fill's scratch
+    monkeypatch.setattr(kernels, "_STRIP", 3 * 13)
+    assert np.array_equal(gram(kern, A, B), whole)
 
 
 @pytest.mark.parametrize(

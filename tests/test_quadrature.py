@@ -278,9 +278,8 @@ def test_gathered_moments_equal_target_moments(seed, n, d, log2_sigma, laplace, 
 
 
 def symmetric_and_cross_pass(kern, X, b):
-    """K(X, X) b by the half-size symmetric pass and by the full cross pass,
-    and the bound 2 n eps (|K| |b|) on their difference: the same products
-    summed in another order."""
+    """K(X, X) b with Y None and with Y = X, and the bound 2 n eps (|K| |b|)
+    on their difference: the same products summed in another order."""
     sym = kernels._kernel_matvec(kern, X, None, b)
     cross = kernels._kernel_matvec(kern, X, X, b)
     bound = 2 * X.shape[0] * EPS * (np.abs(gram(kern, X)) @ np.abs(b))
@@ -318,24 +317,23 @@ def test_symmetric_kernel_matvec_property(seed, n, d, laplace, dirichlet):
     assert np.all(np.abs(sym - cross) <= bound)
 
 
-def test_symmetric_kernel_matvec_evaluates_the_upper_blocks(monkeypatch):
+@pytest.mark.parametrize(
+    "kern", [gaussian(1.0), periodic_sobolev(3, 2)], ids=["gaussian", "sobolev"]
+)
+def test_kernel_matvec_sums_its_tiles_in_walk_order(monkeypatch, kern):
     n, c = 10, 4
-    X = np.random.default_rng(0).standard_normal((n, 2))
-    b = np.full(n, 1.0 / n)
-    whole = kernels._kernel_matvec(gaussian(1.0), X, None, b)
-    shapes = []
-
-    def counted_gram(kernel, A, B=None):
-        shapes.append((A.shape[0], B.shape[0]))
-        return gram(kernel, A, B)
-
-    monkeypatch.setattr(kernels, "gram", counted_gram)
-    monkeypatch.setattr(kernels, "_TILE", c)
-    tiled = kernels._kernel_matvec(gaussian(1.0), X, None, b)
-    sizes = [min(c, n - j) for j in range(0, n, c)]  # 4, 4, 2
-    assert shapes == [(sizes[i], sizes[j]) for j in range(3) for i in range(j + 1)]
-    assert sum(a * b for a, b in shapes) <= (n * n + n * c) / 2
-    assert np.all(np.abs(tiled - whole) <= 2 * n * EPS * whole)
+    X = np.random.default_rng(0).random((n, 2))
+    b = np.random.default_rng(1).dirichlet(np.ones(n))
+    monkeypatch.setattr(kernels, "_TILE", c)  # tiles of 4, 4 and 2 rows and columns
+    expected = np.zeros(n)
+    for j0 in range(0, n, c):  # column blocks outer
+        J = slice(j0, j0 + c)
+        for i0 in range(0, n, c):
+            I = slice(i0, i0 + c)
+            expected[I] += gram(kern, X[I], X[J]) @ b[J]
+    assert np.array_equal(kernels._kernel_matvec(kern, X, None, b), expected)
+    monkeypatch.setattr(kernels, "_STRIP", 5)  # the reused buffer filled in 1- or 2-row strips
+    assert np.array_equal(kernels._kernel_matvec(kern, X, None, b), expected)
 
 
 def test_own_points_take_the_symmetric_pass():
