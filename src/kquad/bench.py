@@ -1,22 +1,23 @@
 """Experiment harness: datasets, method sweeps, timing, and CSV output.
 
-A sweep runs one cell per (method, trial).  A cell builds the method's rule
-at every m of the grid through ``quadrature.compress_grid``, which gives each
-rule its exact worst-case error against the configured target.  The run
-computes the target's kernel mean at every data point once, and every rule's
-moments and the f and f/P greedy criteria come from it: with
-``target = data`` that is one Theta(n^2) pass, which also gives the error's
-self-product, and with ``target = unit-cube`` it is the constant 1.  The work
-that does not depend on m is done once per cell: arls draws its pilot
-leverage scores from a score stream keyed by (master_seed, method, trial),
-then draws each m's nodes from a draw stream keyed by (master_seed, method,
-m, trial); uniform, uniform-wr and monte-carlo draw from the draw stream
-only.  The streams come from a counter-based seed mix, so a row depends only
-on its own key: not on the worker count, nor on the other m of the grid.
-Deterministic (greedy) methods run one cell, selecting once at the largest
-m and taking the first m nodes for each m; their rows are replicated across
-trial rows with trial = 0.  The shared pilot or greedy time is counted in
-the ``sample_time_s`` of the cell's first (smallest) m.
+A sweep runs one cell per (method, trial), one after another; ``workers`` is
+accepted (>= 1) but selects nothing.  A cell builds the method's rule at every
+m of the grid through ``quadrature.compress_grid``, which gives each rule its
+exact worst-case error against the configured target.  The run computes the
+target's kernel mean at every data point once, and every rule's moments and
+the f and f/P greedy criteria come from it: with ``target = data`` that is one
+Theta(n^2) pass, which also gives the error's self-product, and with
+``target = unit-cube`` it is the constant 1.  The work that does not depend on
+m is done once per cell: arls draws its pilot leverage scores from a score
+stream keyed by (master_seed, method, trial), then draws each m's nodes from a
+draw stream keyed by (master_seed, method, m, trial); uniform, uniform-wr and
+monte-carlo draw from the draw stream only.  The streams come from a
+counter-based seed mix, so a row depends only on its own key: not on the other
+cells, nor on the other m of the grid.  Deterministic (greedy) methods run one
+cell, selecting once at the largest m and taking the first m nodes for each m;
+their rows are replicated across trial rows with trial = 0.  The shared pilot
+or greedy time is counted in the ``sample_time_s`` of the cell's first
+(smallest) m.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +80,7 @@ class ExperimentConfig:
     standardize: bool = False
     target: str = "data"  # data | unit-cube
     timings: bool = True  # False zeroes the time columns for byte-stable CSVs
-    workers: int = 1
+    workers: int = 1  # accepted, must be >= 1; cells run one after another
     allow_large_n: bool = False  # lift the n <= 2^14 cap on quadratic error evaluation
 
 
@@ -277,44 +277,30 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     target = TargetMeasure.unit_cube(points.shape[1]) if config.target == "unit-cube" else None
     kme = target_moments(kernel, points, target or TargetMeasure.discrete(points))
 
-    def run_cell(method: str, trial: int | None) -> list[ResultRow]:
-        mid, tkey = _METHOD_IDS[heads[method]], (() if trial is None else (trial,))
-        rules = compress_grid(
-            points,
-            kernel,
-            method,
-            grid,
-            derive_rng(config.master_seed, mid, *tkey),  # score stream
-            target,
-            kme,
-            draw_rng=lambda m: derive_rng(config.master_seed, mid, m, *tkey),
-        )
-        rows = []
-        for m in grid:
-            try:
-                rule = next(rules)
-            except (InputError, NumericalError) as exc:
-                raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
-            ts, tw = rule.sample_time_s, rule.weight_time_s
-            if trial is None:  # deterministic method: replicate across trial rows
-                rows += [ResultRow(method, m, 0, rule.error, ts, tw, ts + tw)] * config.trials
-            else:
-                rows.append(ResultRow(method, m, trial, rule.error, ts, tw, ts + tw))
-        return rows
-
-    tasks = []
+    rows = []
     for method in config.methods:
-        if heads[method] in GREEDY:
-            tasks.append((method, None))
-        else:
-            tasks.extend((method, t) for t in range(config.trials))
-
-    if config.workers == 1:
-        chunks = [run_cell(*task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(lambda t: run_cell(*t), tasks))
-    rows = [row for chunk in chunks for row in chunk]
+        mid = _METHOD_IDS[heads[method]]
+        for trial in (None,) if heads[method] in GREEDY else range(config.trials):
+            tkey = () if trial is None else (trial,)
+            rules = compress_grid(
+                points,
+                kernel,
+                method,
+                grid,
+                derive_rng(config.master_seed, mid, *tkey),  # score stream
+                target,
+                kme,
+                draw_rng=lambda m: derive_rng(config.master_seed, mid, m, *tkey),
+            )
+            for m in grid:
+                try:
+                    rule = next(rules)
+                except (InputError, NumericalError) as exc:
+                    raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
+                ts, tw = rule.sample_time_s, rule.weight_time_s
+                row = ResultRow(method, m, trial or 0, rule.error, ts, tw, ts + tw)
+                # a deterministic method's row is replicated across the trial rows
+                rows += [row] * (config.trials if trial is None else 1)
     rows.sort(key=lambda r: (r.method, r.m, r.trial))
     return ExperimentResult(rows=rows)
 

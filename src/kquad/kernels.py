@@ -126,8 +126,8 @@ def _as_points(X, kernel: KernelSpec | None = None) -> np.ndarray:
         P = P[:, None]
     if P.ndim != 2 or P.shape[0] == 0:
         raise InputError("expected a nonempty (n, d) array of points")
-    if not np.all(np.isfinite(P)):
-        raise InputError("points contain non-finite coordinates")
+    if not np.all(np.abs(P) <= sys.float_info.max / 2):  # then every a_k - b_k is finite
+        raise InputError("points need finite coordinates of at most half the largest float")
     if kernel is not None and kernel.family == "sobolev" and P.shape[1] != kernel.dim:
         raise InputError(
             f"point dimension {P.shape[1]} does not match sobolev kernel dimension {kernel.dim}"

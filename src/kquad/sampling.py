@@ -46,8 +46,9 @@ def uniform_subsample(
     if m > n:
         raise InputError(f"cannot draw {m} of {n} indices without replacement")
     pool = np.arange(n)
-    for i in range(m):
-        j = i + int(rng.integers(n - i))
+    # j uniform in [i, n), drawn in one call: the same stream as rng.integers(n - i) per i
+    steps = np.arange(m)
+    for i, j in enumerate((rng.integers(n - steps) + steps).tolist()):
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:m].copy()
 

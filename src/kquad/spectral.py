@@ -186,6 +186,12 @@ CURVES = {
 }
 
 
+def _abbrev(value) -> str:
+    """str(value), cut to its first 8 characters and its length if over 20 long."""
+    text = str(value)
+    return text if len(text) <= 20 else f"{text[:8]}...({len(text)} chars)"
+
+
 def theoretical_rate_curve(
     curve: str,
     m_values,
@@ -217,11 +223,13 @@ def theoretical_rate_curve(
     with np.errstate(all="ignore"):  # extreme exponents; the result is checked below
         if curve == "sobolev":
             if s is None or d is None or not (s >= 1 and d >= 1):
-                raise InputError(f"sobolev curve needs s >= 1 and d >= 1, got s={s}, d={d}")
+                raise InputError(
+                    f"sobolev curve needs s >= 1 and d >= 1, got s={_abbrev(s)}, d={_abbrev(d)}"
+                )
+            label = f"sobolev(s={_abbrev(s)},d={_abbrev(d)})"
             # int s / d beyond the float range raises; such a curve is out of range anyway
             expo = s / d if s < 2.0**1023 else math.inf
             pred = np.log(m) ** expo / m**expo
-            label = f"sobolev(s={s},d={d})"
         elif curve == "uniform-poly":
             expo = 1.0 - gamma / 2.0
             pred = np.log(m) ** expo / m**expo

@@ -63,6 +63,16 @@ def pairwise_distances_einsum(S):
     return np.concatenate([d[r, r + 1 :] for r in range(S.shape[0] - 1)])
 
 
+def fisher_yates_per_index(n, m, rng):
+    """m indices of a partial Fisher-Yates shuffle of range(n), drawing each
+    swap offset by its own rng.integers(n - i) call."""
+    pool = np.arange(n)
+    for i in range(m):
+        j = i + int(rng.integers(n - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:m].copy()
+
+
 def zeta_series(exponent, terms=1_000_000):
     k = np.arange(1, terms + 1, dtype=np.float64)
     return float(np.sum(k ** (-float(exponent))))

@@ -405,6 +405,7 @@ def test_compress_out_of_range_bandwidth_exit_code(data_csv, tmp_path, capsys, k
         ("1e300", "arls-poly:gamma=0.03"),  # a finite curve, but 1e300 / 1e-10 overflows
         # s / d of two Python ints beyond the float range
         pytest.param("0.1", f"sobolev:s=1{'0' * 400},d=1", id="0.1-sobolev:s=1e400,d=1"),
+        pytest.param("0.1", f"sobolev:s=-1{'0' * 400},d=1", id="0.1-sobolev:s=-1e400,d=1"),
     ],
 )
 def test_rates_out_of_range_curve_exit_code(tmp_path, capsys, first, spec):
@@ -416,7 +417,9 @@ def test_rates_out_of_range_curve_exit_code(tmp_path, capsys, first, spec):
     )
     argv = ["rates", "--summary", str(summary), "--model", spec]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1 and len(err) < 120  # a 400-digit s is abbreviated
 
 
 @pytest.mark.filterwarnings("error")
@@ -430,6 +433,27 @@ def test_rates_nonpositive_m_exit_code(tmp_path, capsys):
     assert cli.main(["rates", "--summary", str(summary), "--model", "uniform-exp"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: m values must be >= 2")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", ["sobolev:s=1,d=2", "gaussian:sigma=1", "gaussian:sigma=median"])
+def test_compress_overflowing_coordinates_exit_code(tmp_path, capsys, kernel):
+    # 1e308 - (-1e308) overflows; coordinates above half the largest float are input errors
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,0\n-1e308,0\n0,1\n5,5\n", encoding="utf-8")
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", kernel,
+        "--method", "uniform",
+        "--m", "2",
+        "--seed", "0",
+        "--output", str(tmp_path / "r.csv"),
+    ]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: points need finite coordinates of at most half the largest")
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 

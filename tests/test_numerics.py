@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpstrf
 
 from kquad import InputError
-from kquad.numerics import eig_sym, pinv_apply
+from kquad.numerics import _pivoted_cholesky, eig_sym, pinv_apply
 
 
 def random_psd(rng, n):
@@ -148,3 +149,19 @@ def test_pinv_recovers_row_space_component(seed, n, rank_frac, log_scale):
         assert np.linalg.norm(null.T @ x) <= 100 * n * eps * cond * np.linalg.norm(w)
     elif r == 0:
         assert np.array_equal(x, np.zeros(n))
+
+
+@pytest.mark.parametrize("size, rank", [(128, 128), (130, 130), (200, 100), (300, 64)])
+def test_pivoted_cholesky_factor_is_the_c_ordered_copy(size, rank):
+    """The slab-by-slab copy of dpstrf's factor has the bits and the C layout
+    of np.ascontiguousarray(c[:, :rank]), at full rank and below it."""
+    rng = np.random.default_rng(size)
+    A = rng.standard_normal((size, rank))
+    S = A @ A.T
+    tol = size * np.finfo(np.float64).eps * float(np.max(np.diag(S)))
+    c, piv, r, info = dpstrf(S.copy().T, tol=tol, lower=1, overwrite_a=1)
+    assert info >= 0 and r == rank
+    F, perm = _pivoted_cholesky(S.copy())
+    assert F.flags.c_contiguous
+    assert np.array_equal(F, np.ascontiguousarray(c[:, :r]))
+    assert np.array_equal(perm, piv - 1)

@@ -277,13 +277,13 @@ def test_gathered_moments_equal_target_moments(seed, n, d, log2_sigma, laplace, 
     assert np.all(np.abs(kme[idx] - v) <= 2 * n * EPS * v)
 
 
-def symmetric_and_cross_pass(kern, X, b):
-    """K(X, X) b with Y None and with Y = X, and the bound 2 n eps (|K| |b|)
-    on their difference: the same products summed in another order."""
-    sym = kernels._kernel_matvec(kern, X, None, b)
-    cross = kernels._kernel_matvec(kern, X, X, b)
-    bound = 2 * X.shape[0] * EPS * (np.abs(gram(kern, X)) @ np.abs(b))
-    return sym, cross, bound
+def tiled_and_dense_matvec(kern, X, b):
+    """K(X, X) b from the tiled kernel matvec and from one dense product with
+    the whole Gram, and the bound 2 n eps (|K| |b|) on their difference: the
+    same products summed in another order once n exceeds one tile."""
+    K = gram(kern, X)
+    tiled = kernels._kernel_matvec(kern, X, None, b)
+    return tiled, K @ b, 2 * X.shape[0] * EPS * (np.abs(K) @ np.abs(b))
 
 
 SYMMETRIC_KERNELS = {
@@ -297,24 +297,26 @@ SYMMETRIC_KERNELS = {
 @pytest.mark.parametrize("family", sorted(SYMMETRIC_KERNELS))
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
 def test_symmetric_kernel_matvec_matches_cross_pass(n, family, masses):
+    """The tiled K(X, X) b against one dense product, across the tile edges."""
     kern, d = SYMMETRIC_KERNELS[family]
     rng = np.random.default_rng(n)
     X = rng.random((n, d)) if family == "sobolev" else rng.standard_normal((n, d))
     b = np.full(n, 1.0 / n) if masses == "uniform" else rng.dirichlet(np.ones(n))
-    sym, cross, bound = symmetric_and_cross_pass(kern, X, b)
-    assert np.all(np.abs(sym - cross) <= bound)
+    tiled, dense, bound = tiled_and_dense_matvec(kern, X, b)
+    assert np.all(np.abs(tiled - dense) <= bound)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2200), d=st.integers(1, 4),
        laplace=st.booleans(), dirichlet=st.booleans())
 def test_symmetric_kernel_matvec_property(seed, n, d, laplace, dirichlet):
+    """The tiled K(X, X) b against one dense product, at random sizes."""
     rng = np.random.default_rng(seed)
     kern = (laplacian if laplace else gaussian)(float(rng.uniform(0.25, 4.0)))
     X = rng.standard_normal((n, d))
     b = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
-    sym, cross, bound = symmetric_and_cross_pass(kern, X, b)
-    assert np.all(np.abs(sym - cross) <= bound)
+    tiled, dense, bound = tiled_and_dense_matvec(kern, X, b)
+    assert np.all(np.abs(tiled - dense) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -336,15 +338,15 @@ def test_kernel_matvec_sums_its_tiles_in_walk_order(monkeypatch, kern):
     assert np.array_equal(kernels._kernel_matvec(kern, X, None, b), expected)
 
 
-def test_own_points_take_the_symmetric_pass():
+def test_discrete_target_moments_and_self_product_are_the_kernel_matvec():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((1500, 2))
     kern, masses = laplacian(0.9), rng.dirichlet(np.ones(1500))
-    sym = kernels._kernel_matvec(kern, X, None, masses)
+    kme = kernels._kernel_matvec(kern, X, None, masses)
     target = TargetMeasure.discrete(X, masses)
-    assert np.array_equal(target_moments(kern, X, target), sym)
-    assert np.array_equal(target_moments(kern, X.copy(), target), sym)
-    assert target_self_product(kern, target) == math.fsum(masses * sym)
+    assert np.array_equal(target_moments(kern, X, target), kme)
+    assert np.array_equal(target_moments(kern, X.copy(), target), kme)
+    assert target_self_product(kern, target) == math.fsum(masses * kme)
 
 
 def test_unit_cube_greedy_interpolates_the_target_embedding():

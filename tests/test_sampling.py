@@ -12,7 +12,7 @@ from kquad.sampling import (
     uniform_subsample,
 )
 
-from oracles import nystrom_leverage_scores
+from oracles import fisher_yates_per_index, nystrom_leverage_scores
 
 
 def test_uniform_without_replacement_is_permutation():
@@ -30,6 +30,20 @@ def test_uniform_deterministic():
     b = uniform_subsample(10_000, 100, rng=np.random.default_rng(123))
     assert np.array_equal(a, b)
     assert len(set(a.tolist())) == 100
+
+
+@pytest.mark.parametrize(
+    "n, m", [(16384, 2048), (4096, 256), (10, 10), (5, 1), (3, 2), (1, 1)]
+)
+def test_uniform_matches_per_index_draws(n, m):
+    """The one-call offset draw gives the per-index loop's indices and leaves
+    the generator in the same state."""
+    for seed in (0, 1, 20260809):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(
+            uniform_subsample(n, m, rng=ours), fisher_yates_per_index(n, m, theirs)
+        )
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_uniform_errors():
