@@ -1,4 +1,4 @@
-"""Experiment harness: datasets, method sweeps, timing, and CSV output.
+"""Experiment harness: datasets, method sweeps, timing, and every file format.
 
 A sweep runs one cell per (method, trial), one after another; ``workers`` is
 accepted (>= 1) but selects nothing.  A cell builds the method's rule at every
@@ -18,6 +18,9 @@ cell, selecting once at the largest m and taking the first m nodes for each m;
 their rows are replicated across trial rows with trial = 0.  The shared pilot
 or greedy time is counted in the ``sample_time_s`` of the cell's first
 (smallest) m.
+
+Every kquad file is read and written here, each CSV by one reader that honours
+the csv module's quoting, ``_read_rows``, and one writer, ``_write_rows``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .kernels import _as_points, parse_kernel
 from .quadrature import (
-    GREEDY,
-    METHODS,
-    TargetMeasure,
-    _read_lines,
-    compress_grid,
-    target_moments,
+    GREEDY, METHODS, QuadratureRule, TargetMeasure, compress_grid, target_moments
 )
 from .specs import parse_spec
 
@@ -124,6 +122,47 @@ def standardize_points(points: np.ndarray) -> np.ndarray:
     return (P - P.mean(axis=0)) / std
 
 
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped; any
+    other bytes are an input error that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def _read_rows(path):
+    """Yield (line number, cells) for each CSV row with a non-blank cell; the
+    csv module splits the rows, so a quoted cell may hold a comma."""
+    reader = csv.reader(_read_lines(path))
+    try:
+        for row in reader:
+            if row and (row[0].strip() or any(map(str.strip, row))):  # the first cell settles most rows
+                yield reader.line_num, row
+    except csv.Error as exc:  # e.g. a cell beyond the csv module's field size limit
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _float_row(path, lineno: int, cells: list, width: int) -> list:
+    """The cells of one row of ``width`` cells as floats; another width or a
+    non-numeric cell is an input error naming path:line (and the column)."""
+    if len(cells) != width:
+        raise InputError(f"{path}:{lineno}: ragged row of {len(cells)} cells, expected {width}")
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        for col, cell in enumerate(cells, 1):
+            try:
+                float(cell)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: non-numeric cell in column {col}") from None
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
 def _write_rows(path, rows) -> None:
     """Write rows of cells through the csv module, with minimal quoting (a
     method spec with a comma stays one cell) and newline line endings."""
@@ -131,48 +170,55 @@ def _write_rows(path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def load_csv(path, standardize: bool = False, delimiter: str = ",") -> Dataset:
+def load_csv(path, standardize: bool = False) -> Dataset:
     """Read a numeric CSV into a Dataset.
 
     A non-numeric first row is treated as a header and skipped.  Ragged rows
     and non-numeric cells raise with their location.
     """
-    lines = [line.rstrip("\n").rstrip("\r") for line in _read_lines(path)]
-    lines = [line for line in lines if line.strip()]
-    if not lines:
-        raise InputError(f"{path}: empty file")
-
-    def parse_row(line, rownum):
-        cells = [c.strip() for c in line.split(delimiter)]
-        values = []
-        for c, cell in enumerate(cells):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise InputError(f"{path}: non-numeric cell at row {rownum}, column {c + 1}")
-        return values
-
-    start = 0
-    try:
-        first = parse_row(lines[0], 1)
-    except InputError:
-        start = 1
-        if len(lines) == 1:
-            raise InputError(f"{path}: header only, no data rows")
-        first = parse_row(lines[1], 2)
-    width = len(first)
-    rows = [first]
-    for i, line in enumerate(lines[start + 1 :], start=start + 2):
-        row = parse_row(line, i)
-        if len(row) != width:
-            raise InputError(f"{path}: ragged row {i} has {len(row)} cells, expected {width}")
-        rows.append(row)
-    points = np.asarray(rows, dtype=np.float64)
+    rows = list(_read_rows(path))
+    if rows:
+        try:
+            _float_row(path, *rows[0], len(rows[0][1]))
+        except InputError:
+            rows = rows[1:]
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    points = np.asarray([_float_row(path, i, cells, len(rows[0][1])) for i, cells in rows])
     if not np.all(np.isfinite(points)):
         raise InputError(f"{path}: non-finite values")
     if standardize:
         points = standardize_points(points)
     return Dataset(points=points, name=os.path.basename(str(path)), standardized=standardize)
+
+
+def save_rule(rule: QuadratureRule, path) -> None:
+    """Write the rule as CSV with header index,x_1,...,x_d,weight.
+
+    Floats use shortest round-trip formatting, so load_rule restores the
+    nodes and weights bit-exactly.  Missing source indices are written as -1.
+    """
+    idx = rule.indices if rule.indices is not None else np.full(len(rule), -1)
+    rows = [["index", *(f"x_{k + 1}" for k in range(rule.nodes.shape[1])), "weight"]]
+    rows += ([int(i), *map(_fmt, x), _fmt(w)] for i, x, w in zip(idx, rule.nodes, rule.weights))
+    _write_rows(path, rows)
+
+
+def load_rule(path) -> QuadratureRule:
+    """Read a rule written by save_rule."""
+    rows = list(_read_rows(path))
+    if not rows or rows[0][1][0].strip() != "index" or len(rows[0][1]) < 2:
+        raise InputError(f"{path}: not a quadrature-rule CSV")
+    width = len(rows[0][1])
+    idx, values = [], []
+    for lineno, cells in rows[1:]:
+        values.append(_float_row(path, lineno, cells, width))
+        try:
+            idx.append(int(cells[0]))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-integer index in column 1") from None
+    table, indices = np.asarray(values, dtype=np.float64).reshape(-1, width), np.asarray(idx)
+    return QuadratureRule(table[:, 1:-1], table[:, -1], None if np.all(indices < 0) else indices)
 
 
 def _mixture_centers(d: int, k: int, separation: float, rng: np.random.Generator) -> np.ndarray:
@@ -333,10 +379,6 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_raw_csv(result: ExperimentResult, path, timings: bool = True) -> None:
     """Raw rows, one per (method, m, trial).  With timings off the time
     columns are written as zeros so reruns are byte-identical."""
@@ -356,12 +398,7 @@ def write_summary_csv(summary: list, path, timings: bool = True) -> None:
 
 
 def read_summary_csv(path) -> list:
-    reader = csv.reader(_read_lines(path))
-    try:
-        rows = [(reader.line_num, [c.strip() for c in row]) for row in reader]
-    except csv.Error as exc:  # e.g. a cell beyond the csv module's field size limit
-        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-    rows = [(lineno, cells) for lineno, cells in rows if any(cells)]
+    rows = [(lineno, [c.strip() for c in cells]) for lineno, cells in _read_rows(path)]
     header = SUMMARY_HEADER.split(",")
     if not rows or rows[0][1] != header:
         raise InputError(f"{path}: not a summary CSV")

@@ -18,7 +18,7 @@ import numpy as np
 from . import bench, spectral
 from .errors import InputError, NumericalError
 from .kernels import parse_kernel
-from .quadrature import METHODS, compress, save_rule
+from .quadrature import METHODS, compress
 from .specs import parse_spec
 
 
@@ -73,7 +73,7 @@ def _cmd_compress(args) -> int:
     points = bench.load_csv(args.input, standardize=args.standardize).points
     kernel = parse_kernel(args.kernel, points=points, rng=np.random.default_rng(args.seed))
     rule = compress(points, kernel, args.method, args.m, args.seed)
-    save_rule(rule, args.output)
+    bench.save_rule(rule, args.output)
     print(f"wrote {len(rule)} nodes to {args.output}; worst-case error {rule.error:.6g}")
     return 0
 

@@ -21,7 +21,9 @@ Sobolev product multiplies its per-coordinate factors in the same order.
 (a - b)^2 == (b - a)^2 and |a - b| == |b - a|, so k(x, y) == k(y, x) holds
 bit-exactly, and no (a, b, d) difference tensor is ever formed: a block's
 temporaries are (a, b) arrays.  ``median_heuristic`` takes its distances from
-scipy's ``pdist``, the same sum followed by a square root.
+scipy's ``pdist``, the same sum followed by a square root.  Both reject
+coordinates above 2^500 in absolute value: each (a_k - b_k)^2 is then at most
+2^1002, so squared distances are finite for d < 2^22.
 
 ``_fill`` evaluates an (a, b) array in row strips of about _STRIP values that
 stay in cache; ``gram`` is one fill of its output.  The kernel matvec
@@ -128,6 +130,8 @@ def _as_points(X, kernel: KernelSpec | None = None) -> np.ndarray:
         raise InputError("expected a nonempty (n, d) array of points")
     if not np.all(np.abs(P) <= sys.float_info.max / 2):  # then every a_k - b_k is finite
         raise InputError("points need finite coordinates of at most half the largest float")
+    if kernel is not None and kernel.family != "sobolev" and not np.all(np.abs(P) <= 2.0**500):
+        raise InputError("points need |coordinates| <= 2^500 for gaussian and laplacian kernels")
     if kernel is not None and kernel.family == "sobolev" and P.shape[1] != kernel.dim:
         raise InputError(
             f"point dimension {P.shape[1]} does not match sobolev kernel dimension {kernel.dim}"
@@ -247,7 +251,7 @@ def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None
     # imported here: scipy.spatial takes ~130 ms to load, which Sobolev-only runs skip
     from scipy.spatial.distance import pdist
 
-    P = _as_points(X)
+    P = _as_points(X, gaussian(1.0))  # the coordinate bound of gaussian and laplacian points
     n = P.shape[0]
     if n < 2:
         raise InputError("median heuristic needs at least two points")
@@ -266,8 +270,8 @@ _SIGMA = optional(float, "median")
 
 # Kernel spec schema: family -> accepted keys and their value parsers.
 KERNELS = {
-    "gaussian": {"sigma": _SIGMA, "σ": _SIGMA},
-    "laplacian": {"sigma": _SIGMA, "σ": _SIGMA},
+    "gaussian": {"sigma": _SIGMA},
+    "laplacian": {"sigma": _SIGMA},
     "sobolev": {"s": int, "d": int},
 }
 
@@ -282,7 +286,7 @@ def parse_kernel(text: str, points=None, rng: np.random.Generator | None = None)
     family, params = parse_spec(text, "kernel", KERNELS)
     if family == "sobolev":
         return KernelSpec(family="sobolev", order=params.get("s", 1), dim=params.get("d", 1))
-    sigma = params.get("sigma", params.get("σ"))
+    sigma = params.get("sigma")
     if sigma is None:
         if points is None:
             raise InputError("sigma=median requires data points")

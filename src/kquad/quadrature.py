@@ -11,6 +11,9 @@ unit ball of the RKHS is the embedding distance
 which is computable exactly for discrete targets (in Theta(n^2) kernel
 evaluations) and in closed form for the uniform unit cube under the periodic
 Sobolev kernel, whose moments are identically one.
+
+This module computes only; rule files are written and read in ``bench``,
+beside the other file formats.
 """
 
 from __future__ import annotations
@@ -321,54 +324,3 @@ def compress_grid(
         )
         shared_s = 0.0
 
-
-def save_rule(rule: QuadratureRule, path) -> None:
-    """Write the rule as CSV with header index,x_1,...,x_d,weight.
-
-    Floats use shortest round-trip formatting, so load_rule restores the
-    nodes and weights bit-exactly.  Missing source indices are written as -1.
-    """
-    d = rule.nodes.shape[1]
-    idx = rule.indices if rule.indices is not None else np.full(len(rule), -1, dtype=int)
-    header = "index," + ",".join(f"x_{k + 1}" for k in range(d)) + ",weight"
-    lines = [header]
-    for i in range(len(rule)):
-        coords = ",".join(repr(float(c)) for c in rule.nodes[i])
-        lines.append(f"{int(idx[i])},{coords},{repr(float(rule.weights[i]))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_lines(path) -> list:
-    """The lines of a UTF-8 text file, a leading byte-order mark dropped; any
-    other bytes are an input error that names the file."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
-
-
-def load_rule(path) -> QuadratureRule:
-    """Read a rule written by save_rule."""
-    lines = [(k, line.strip()) for k, line in enumerate(_read_lines(path), 1) if line.strip()]
-    if not lines or not lines[0][1].startswith("index,"):
-        raise InputError(f"{path}: not a quadrature-rule CSV")
-    ncols = len(lines[0][1].split(","))
-    idx, nodes, weights = [], [], []
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != ncols:
-            raise InputError(f"{path}:{lineno}: ragged row {line!r}")
-        try:
-            idx.append(int(cells[0]))
-            nodes.append([float(c) for c in cells[1:-1]])
-            weights.append(float(cells[-1]))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-    indices = np.asarray(idx, dtype=int)
-    return QuadratureRule(
-        nodes=np.asarray(nodes, dtype=np.float64),
-        weights=np.asarray(weights, dtype=np.float64),
-        indices=None if np.all(indices < 0) else indices,
-    )

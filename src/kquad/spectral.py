@@ -200,10 +200,9 @@ def theoretical_rate_curve(
     d: int | None = None,
     gamma: float | None = None,
     c: float | None = None,
-    constant: float = 1.0,
 ) -> RatePrediction:
-    """Predicted worst-case-error curve, up to the caller's multiplicative
-    constant (intended for figure overlays, not acceptance thresholds).
+    """Predicted worst-case-error curve, up to a multiplicative constant
+    (intended for figure overlays, not acceptance thresholds).
 
     sobolev:      log(m)^(s/d) / m^(s/d)
     uniform-poly: log(m)^(1-gamma/2) / m^(1-gamma/2)
@@ -220,6 +219,7 @@ def theoretical_rate_curve(
         raise InputError("m values must be >= 2")
     if curve in ("uniform-poly", "arls-poly") and not (gamma is not None and 0 < gamma <= 1):
         raise InputError(f"{curve} curve needs gamma in (0, 1], got {gamma}")
+    expo = None  # the exponent e of a log-power curve log(m)^e / m^e
     with np.errstate(all="ignore"):  # extreme exponents; the result is checked below
         if curve == "sobolev":
             if s is None or d is None or not (s >= 1 and d >= 1):
@@ -229,18 +229,12 @@ def theoretical_rate_curve(
             label = f"sobolev(s={_abbrev(s)},d={_abbrev(d)})"
             # int s / d beyond the float range raises; such a curve is out of range anyway
             expo = s / d if s < 2.0**1023 else math.inf
-            pred = np.log(m) ** expo / m**expo
         elif curve == "uniform-poly":
-            expo = 1.0 - gamma / 2.0
-            pred = np.log(m) ** expo / m**expo
-            label = f"uniform-poly(gamma={gamma})"
+            expo, label = 1.0 - gamma / 2.0, f"uniform-poly(gamma={gamma})"
         elif curve == "uniform-exp":
-            pred = np.log(m) / m
-            label = "uniform-exp"
+            expo, label = 1.0, "uniform-exp"
         elif curve == "arls-poly":
-            expo = 1.0 / (2.0 * gamma)
-            pred = np.log(m) ** expo / m**expo
-            label = f"arls-poly(gamma={gamma})"
+            expo, label = 1.0 / (2.0 * gamma), f"arls-poly(gamma={gamma})"
         elif curve == "arls-exp":
             if c is None or not 0 < c < math.inf:
                 raise InputError(f"arls-exp curve needs a positive finite constant c, got {c}")
@@ -251,9 +245,11 @@ def theoretical_rate_curve(
             label = "monte-carlo"
         else:
             raise InputError(f"unknown curve {curve!r}; expected one of {tuple(CURVES)}")
+        if expo is not None:
+            pred = np.log(m) ** expo / m**expo
     if not np.all(np.isfinite(pred) & (pred > 0.0)):
         raise InputError(f"{label} curve is not a finite positive float at every m")
-    return RatePrediction(m_values=m, predicted_error=constant * pred, label=label)
+    return RatePrediction(m_values=m, predicted_error=pred, label=label)
 
 
 def rate_slope(m_values, errors) -> tuple[float, float, float]:

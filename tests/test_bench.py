@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 import re
 
@@ -9,15 +10,18 @@ from kquad import InputError
 from kquad.bench import (
     Dataset,
     ExperimentConfig,
+    SUMMARY_HEADER,
     ExperimentResult,
     ResultRow,
     derive_rng,
     gen_synthetic,
     load_csv,
+    load_rule,
     parse_config,
     read_summary_csv,
     run_experiment,
     run_to_files,
+    save_rule,
     standardize_points,
     summarize,
     summary_path_for,
@@ -25,7 +29,13 @@ from kquad.bench import (
     write_summary_csv,
 )
 from kquad.kernels import parse_kernel
-from kquad.quadrature import TargetMeasure, compress, load_rule, optimal_weights, worst_case_error
+from kquad.quadrature import (
+    QuadratureRule,
+    TargetMeasure,
+    compress,
+    optimal_weights,
+    worst_case_error,
+)
 from kquad.sampling import approx_rls_pilot, sample_proportional, uniform_subsample
 
 
@@ -71,6 +81,18 @@ def test_load_csv_keeps_the_first_row_after_a_bom(tmp_path):
     assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]])
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['"1.5","2.0"\n3,4\n5,6\n', '"1.5","2.0"\n"3","4"\n"5","6"\n'],
+    ids=["quoted-first-row", "all-quoted"],
+)
+def test_load_csv_reads_quoted_cells(tmp_path, text):
+    # a quoted numeric first row is data, not a header
+    path = tmp_path / "q.csv"
+    path.write_text(text, encoding="utf-8")
+    assert np.array_equal(load_csv(path).points, [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
 def test_load_csv_errors(tmp_path):
     empty = tmp_path / "e.csv"
     empty.write_text("", encoding="utf-8")
@@ -78,11 +100,11 @@ def test_load_csv_errors(tmp_path):
         load_csv(empty)
     ragged = tmp_path / "r.csv"
     ragged.write_text("1,2\n3\n", encoding="utf-8")
-    with pytest.raises(InputError, match="row 2"):
+    with pytest.raises(InputError, match=re.escape(f"{ragged}:2: ragged row")):
         load_csv(ragged)
     alpha = tmp_path / "a.csv"
     alpha.write_text("1,2\n3,zap\n", encoding="utf-8")
-    with pytest.raises(InputError, match="row 2, column 2"):
+    with pytest.raises(InputError, match=re.escape(f"{alpha}:2: non-numeric cell in column 2")):
         load_csv(alpha)
 
 
@@ -361,6 +383,58 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader):
     bad.write_bytes(b"method,m\n\x89PNG\r\n\x1a\n\xff\xfe")
     with pytest.raises(InputError, match=re.escape(f"{bad}: not UTF-8 text")):
         reader(bad)
+
+
+# each reader with its header, one data row, and that row as plain values
+_CSV_READERS = {
+    "load_csv": (load_csv, "x_1,x_2", ["1.5", "-2"], lambda ds: ds.points.tolist()),
+    "load_rule": (
+        load_rule,
+        "index,x_1,weight",
+        ["3", "1.5", "-2"],
+        lambda r: np.column_stack([r.indices, r.nodes, r.weights]).tolist(),
+    ),
+    "read_summary_csv": (
+        read_summary_csv,
+        SUMMARY_HEADER,
+        ["uniform", "16", "0.5", "0.25", "0"],
+        lambda rows: [dataclasses.astuple(r) for r in rows],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_READERS))
+def test_readers_share_one_csv_dialect(tmp_path, name):
+    reader, header, cells, values = _CSV_READERS[name]
+    plain, quoted = ",".join(cells), ",".join(f'"{c}"' for c in cells)
+    reference = tmp_path / "plain.csv"
+    reference.write_text(f"{header}\n{plain}\n{plain}\n", encoding="utf-8")
+    expected = values(reader(reference))
+    assert len(expected) == 2
+    # quoted cells, CRLF line endings, a blank and a whitespace-only row
+    path = tmp_path / "dialect.csv"
+    path.write_bytes(f"{header}\r\n{quoted}\r\n\r\n \t \r\n{plain}\r\n".encode())
+    assert values(reader(path)) == expected
+    # a NUL byte is an input error at its line, whatever the csv module makes of it
+    path.write_bytes(f"{header}\n{plain}\n{plain}\x00\n".encode())
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: ")):
+        reader(path)
+
+
+@pytest.mark.parametrize("indices", [[4, 0, 7], None])
+def test_save_rule_bytes(tmp_path, indices):
+    rule = QuadratureRule(
+        nodes=[[0.1, -2.0], [1e-300, 3.5], [0.0, 1.0 / 3.0]],
+        weights=[0.5, -0.25, 1e20],
+        indices=None if indices is None else np.array(indices),
+    )
+    path = tmp_path / "rule.csv"
+    save_rule(rule, path)
+    i = indices or [-1, -1, -1]
+    assert path.read_bytes() == (
+        f"index,x_1,x_2,weight\n{i[0]},0.1,-2.0,0.5\n{i[1]},1e-300,3.5,-0.25\n"
+        f"{i[2]},0.0,0.3333333333333333,1e+20\n"
+    ).encode()
 
 
 def test_parse_config(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from kquad import bench, cli
-from kquad.bench import read_summary_csv
+from kquad.bench import load_rule, read_summary_csv
 from kquad.errors import NumericalError
 from kquad.kernels import gaussian
-from kquad.quadrature import TargetMeasure, load_rule, worst_case_error
+from kquad.quadrature import TargetMeasure, worst_case_error
 
 
 @pytest.fixture
@@ -454,6 +454,36 @@ def test_compress_overflowing_coordinates_exit_code(tmp_path, capsys, kernel):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: points need finite coordinates of at most half the largest")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kernel, code",
+    [
+        ("laplacian:sigma=1e200", 1),
+        ("gaussian:sigma=median", 1),
+        ("laplacian:sigma=median", 1),
+        ("sobolev:s=1,d=2", 0),
+    ],
+)
+def test_compress_radial_kernel_coordinate_bound(tmp_path, capsys, kernel, code):
+    # (2e200)^2 overflows a squared distance: k would read 0 and a median sigma inf
+    path = tmp_path / "big.csv"
+    path.write_text("1e200,0\n-1e200,0\n0,1\n5,5\n", encoding="utf-8")
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", kernel,
+        "--method", "uniform",
+        "--m", "2",
+        "--seed", "0",
+        "--output", str(tmp_path / "r.csv"),
+    ]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: points need |coordinates| <= 2^500")
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 

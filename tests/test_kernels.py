@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -250,6 +251,19 @@ def test_median_heuristic_errors():
         median_heuristic(np.array([0.0, 1.0]), subset_size=1)
 
 
+def test_radial_coordinate_bound():
+    # at |x| = 2^500 squared distances are finite: k = exp(-2^501 / 2^501)
+    X = np.array([[2.0**500, 0.0], [-(2.0**500), 0.0]])
+    assert gram(laplacian(2.0**501), X)[0, 1] == math.exp(-1.0)
+    assert median_heuristic(X) == 2.0**501
+    # one ulp above the bound: an input error in both, whatever the kernel's bandwidth
+    X[0, 0] = np.nextafter(2.0**500, np.inf)
+    for call in (lambda: gram(laplacian(1e200), X), lambda: median_heuristic(X)):
+        with pytest.raises(InputError, match=re.escape("|coordinates| <= 2^500")):
+            call()
+    assert np.all(np.isfinite(gram(periodic_sobolev(1, 2), X)))
+
+
 def test_parse_kernel():
     k = parse_kernel("gaussian:sigma=0.5")
     assert k.family == "gaussian" and k.bandwidth == 0.5
@@ -268,6 +282,9 @@ def test_parse_kernel():
         parse_kernel("sobolev:s=two")
     with pytest.raises(InputError):
         parse_kernel("gaussian:sigma=1,extra=2")
+    for spec in ("gaussian:sigma=1,σ=2", "laplacian:σ=2"):  # sigma has no alias
+        with pytest.raises(InputError, match="unknown kernel parameter 'σ'"):
+            parse_kernel(spec)
 
 
 def test_import_leaves_scipy_spatial_unloaded():

@@ -15,14 +15,13 @@ from kquad.quadrature import (
     TargetMeasure,
     compress,
     integrate,
-    load_rule,
     mmd,
     optimal_weights,
-    save_rule,
     target_moments,
     target_self_product,
     worst_case_error,
 )
+from kquad.bench import load_rule, save_rule
 from kquad.sampling import uniform_subsample
 
 from oracles import gaussian_wce_sq_longdouble, worst_case_witness
