@@ -113,8 +113,17 @@ def derive_rng(master_seed: int, *stream) -> np.random.Generator:
 
 
 def standardize_points(points: np.ndarray) -> np.ndarray:
-    """Center each column and scale to unit (population) variance."""
+    """Center each column and scale to unit (population) variance.
+
+    Each column is first divided by the power of two 2^(e-1), where
+    2^(e-1) <= max |column| < 2^e, so its values lie within 2 in magnitude
+    and their squared deviations cannot overflow, however large the
+    coordinates.  Scaling by a power of two is exact and cancels in
+    (x - mean) / std, so a column whose values and deviations are normal
+    floats keeps the bits of the unscaled formula.
+    """
     P = np.asarray(points, dtype=np.float64)
+    P = P / np.ldexp(1.0, np.frexp(np.max(np.abs(P), axis=0))[1] - 1)
     std = P.std(axis=0)
     if np.any(std == 0.0):
         col = int(np.nonzero(std == 0.0)[0][0]) + 1

@@ -28,7 +28,8 @@ coordinates above 2^500 in absolute value: each (a_k - b_k)^2 is then at most
 ``_fill`` evaluates an (a, b) array in row strips of about _STRIP values that
 stay in cache; ``gram`` is one fill of its output.  The kernel matvec
 ``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target) fills
-_TILE-square tiles, which fix the bits of its BLAS row sums, in one buffer.
+_TILE-square tiles, which fix the bits of its BLAS row sums, in one buffer;
+each tile's product goes through ``numerics.matvec``, scipy's ``dgemv``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .numerics import matvec
 from .specs import optional, parse_spec
 
 SUPPORTED_ORDERS = (1, 2, 3)
@@ -222,7 +224,7 @@ def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
         for i0 in range(0, A.shape[0], _TILE):
             Ai, Bj = A[i0 : i0 + _TILE], B[j0 : j0 + _TILE]
             K = _fill(kernel, Ai, Bj, buf[: len(Ai) * len(Bj)].reshape(len(Ai), len(Bj)))
-            v[i0 : i0 + _TILE] += K @ b[j0 : j0 + _TILE]
+            v[i0 : i0 + _TILE] += matvec(K, b[j0 : j0 + _TILE])
     return v
 
 

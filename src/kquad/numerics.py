@@ -1,5 +1,5 @@
-"""Dense symmetric linear algebra: eigendecomposition and a rank-revealing
-pseudo-inverse solve.
+"""Dense linear algebra: the BLAS products of the rule-building path, an
+eigendecomposition and a rank-revealing pseudo-inverse solve.
 
 ``eig_sym`` gives the full spectrum, which the exact leverage scores and the
 spectral module need.  ``pinv_apply`` needs only a solve, so it factors with
@@ -8,6 +8,19 @@ faster than a full eigendecomposition at m in the thousands).  The
 factorization picks pivots greedily by largest residual diagonal and stops
 when that residual falls to the level of float64 rounding, which reveals the
 numerical rank.
+
+One BLAS builds every rule.  numpy and scipy each ship their own OpenBLAS
+(scipy-openblas64 0.3.31 and scipy-openblas32 0.3.30 under numpy 2.4.6 and
+scipy 1.17.1), and each keeps a worker thread spinning for a while after a
+threaded call.  On a 2-core machine a scipy LAPACK call made just after a
+threaded numpy product waits for numpy's spinning worker: a 256 x 256
+``dpstrf`` took 3.3-3.6 ms after a numpy ``K @ b`` against 0.37 ms after
+scipy's ``dgemv`` or with no product before it.  So the products on the
+path that builds rules (the kernel mean, the arls pilot, the weight solve
+and the error) call scipy's BLAS through ``matvec`` and ``syrk``, which give
+the same bits as numpy's ``A @ x`` and ``B @ B.T``, and numpy's pool never
+wakes between two scipy LAPACK calls.  Vector dot products stay with numpy:
+OpenBLAS runs them on one thread below 10000 entries.
 """
 
 from __future__ import annotations
@@ -16,9 +29,29 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpstrf
 
 from .errors import InputError, NumericalError
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a 2-d float64 A, by scipy's ``dgemv``, bit for bit.
+
+    A C-ordered A goes in as its Fortran-ordered transpose with trans=1, the
+    call numpy makes for ``A @ x``; a Fortran-ordered A goes in as it is.
+    Neither is copied.
+    """
+    if A.flags.c_contiguous:
+        return dgemv(1.0, A.T, x, trans=1)
+    return dgemv(1.0, A, x)
+
+
+def syrk(B: np.ndarray) -> np.ndarray:
+    """The lower triangle of B @ B.T for a 2-d float64 B, by scipy's
+    ``dsyrk``, bit for bit; its strict upper triangle is not the product.
+    A Fortran-ordered B, as ``solve_triangular`` returns it, is not copied."""
+    return dsyrk(1.0, B, lower=1)
 
 
 @dataclass(frozen=True)
@@ -94,6 +127,6 @@ def pinv_apply(A, b) -> np.ndarray:
         out[perm] = solve_triangular(F, z, lower=True, trans="T", check_finite=False)
         return out
     Q, R = qr(np.tril(F), mode="economic", check_finite=False)
-    t = solve_triangular(R, Q.T @ y, lower=False, check_finite=False)
-    out[perm] = Q @ solve_triangular(R, t, lower=False, trans="T", check_finite=False)
+    t = solve_triangular(R, matvec(Q.T, y), lower=False, check_finite=False)
+    out[perm] = matvec(Q, solve_triangular(R, t, lower=False, trans="T", check_finite=False))
     return out

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .greedy import greedy_select
 from .kernels import KernelSpec, _as_points, _kernel_matvec, gram
-from .numerics import pinv_apply
+from .numerics import matvec, pinv_apply
 from .sampling import approx_rls_pilot, sample_proportional, uniform_subsample
 from .specs import optional, parse_spec
 
@@ -188,7 +188,7 @@ def _error(T: float, w: np.ndarray, v: np.ndarray, Km: np.ndarray) -> float:
     Small negative squared errors (above -1e-8) from cancellation are
     clamped to zero; anything lower raises.
     """
-    e2 = math.fsum([T, -2.0 * float(w @ v), float(w @ (Km @ w))])
+    e2 = math.fsum([T, -2.0 * float(w @ v), float(w @ matvec(Km, w))])
     if e2 < -1e-8:
         raise NumericalError(f"squared worst-case error {e2:.3e} is negative beyond tolerance")
     return math.sqrt(max(e2, 0.0))

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, _as_points, gram, sup_norm_bound
-from .numerics import _pivoted_cholesky, eig_sym
+from .numerics import _pivoted_cholesky, eig_sym, syrk
 from .spectral import lambda_rule
 
 
@@ -106,10 +106,11 @@ def approx_rls_pilot(
     r = F.shape[1]
     landmarks = pilot_indices[perm[:r]]
     B = solve_triangular(F[:r], gram(kernel, P[landmarks], P), lower=True)  # columns are b_i
-    G = B @ B.T
+    G = syrk(B)  # B B^T in the lower triangle, which is all the Cholesky reads
     G[np.diag_indices_from(G)] += lam * n
     # b^T G^-1 b = |C^-1 b|^2 with G = C C^T: one triangular solve per column.
-    Z = solve_triangular(np.linalg.cholesky(G), B, lower=True)
+    C = cholesky(G, lower=True, overwrite_a=True, check_finite=False)
+    Z = solve_triangular(C, B, lower=True)
     values = np.einsum("ij,ij->j", Z, Z)
     return LeverageScores(lam=lam, values=values, mode="pilot", pilot_size=len(pilot_indices))
 

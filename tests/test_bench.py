@@ -118,6 +118,23 @@ def test_standardize_invariants():
         standardize_points(np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
+def test_standardize_huge_coordinates():
+    # (1e300)^2 overflows: the unscaled std is inf and divides column 1 to zeros
+    Z = standardize_points(np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0], [5.0, 5.0]]))
+    assert np.all(np.isfinite(Z))
+    assert np.allclose(Z[:, 0], [np.sqrt(2.0), -np.sqrt(2.0), 0.0, 0.0], rtol=1e-15, atol=1e-290)
+    assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-15)
+    assert np.allclose(Z.var(axis=0), 1.0, rtol=1e-15)
+    assert np.all(np.isfinite(standardize_points(np.array([[1.7e308], [-1.7e308], [1.0]]))))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-5, 1.0, 3.3, 1e10, 1e100, 1e150])
+def test_standardize_keeps_the_unscaled_bits(scale):
+    rng = np.random.default_rng(1)
+    P = rng.standard_normal((1000, 3)) * scale + np.array([0.0, 7.0, -1e3]) * scale
+    assert np.array_equal(standardize_points(P), (P - P.mean(axis=0)) / P.std(axis=0))
+
+
 def test_gen_uniform_cube():
     ds = gen_synthetic("uniform_cube:d=1", 10_000, seed=5)
     assert ds.points.shape == (10_000, 1)

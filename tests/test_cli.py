@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kquad import bench, cli
-from kquad.bench import load_rule, read_summary_csv
+from kquad.bench import load_csv, load_rule, read_summary_csv
 from kquad.errors import NumericalError
 from kquad.kernels import gaussian
 from kquad.quadrature import TargetMeasure, worst_case_error
@@ -485,6 +485,28 @@ def test_compress_radial_kernel_coordinate_bound(tmp_path, capsys, kernel, code)
     if code:
         assert err.startswith("error: points need |coordinates| <= 2^500")
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_compress_standardize_huge_coordinates(tmp_path, capsys):
+    # standardizing divides by the std, whose unscaled squares of 1e300 overflow
+    path = tmp_path / "huge.csv"
+    path.write_text("1e300,0\n-1e300,0\n0,1\n5,5\n", encoding="utf-8")
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", "sobolev:s=1,d=2",
+        "--method", "uniform",
+        "--m", "4",
+        "--seed", "0",
+        "--output", str(tmp_path / "r.csv"),
+        "--standardize",
+    ]
+    assert cli.main(argv) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    nodes = load_rule(tmp_path / "r.csv").nodes
+    assert np.array_equal(np.sort(nodes, axis=0), np.sort(load_csv(path, True).points, axis=0))
+    assert np.allclose(np.sort(nodes[:, 0])[[0, -1]], [-np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-15)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpstrf
 
 from kquad import InputError
-from kquad.numerics import _pivoted_cholesky, eig_sym, pinv_apply
+from kquad.numerics import _pivoted_cholesky, eig_sym, matvec, pinv_apply, syrk
 
 
 def random_psd(rng, n):
@@ -165,3 +167,52 @@ def test_pivoted_cholesky_factor_is_the_c_ordered_copy(size, rank):
     assert F.flags.c_contiguous
     assert np.array_equal(F, np.ascontiguousarray(c[:, :r]))
     assert np.array_equal(perm, piv - 1)
+
+
+# 1x1, single rows and columns, odd shapes, and the kernel matvec's 1024-square
+# tiles: whole, one row or column over (a partial tile), and several
+MATVEC_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 5), (256, 256), (1025, 700), (700, 1025),
+                 (1024, 1024), (2048, 1025)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", MATVEC_SHAPES)
+def test_matvec_has_numpy_bits(shape, order):
+    rng = np.random.default_rng(shape[0] * 4099 + shape[1])
+    A = np.asarray(rng.standard_normal(shape), order=order)
+    x = rng.standard_normal(shape[1])
+    assert np.array_equal(matvec(A, x), A @ x)
+
+
+def _peak_bytes(f, *args):
+    """Peak bytes numpy allocated while f(*args) ran (numpy reports its
+    buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matvec_copies_no_contiguous_input(order):
+    rng = np.random.default_rng(0)
+    A = np.asarray(rng.standard_normal((1024, 1024)), order=order)  # 8 MiB
+    x = rng.standard_normal(1024)
+    assert _peak_bytes(matvec, A, x) < A.nbytes // 64
+    # the measure sees a copy: a strided view has to be copied for dgemv
+    assert _peak_bytes(matvec, A[:, ::2], x[::2]) >= A.nbytes // 2
+
+
+def test_syrk_copies_no_fortran_ordered_input():
+    B = np.asfortranarray(np.random.default_rng(0).standard_normal((64, 16384)))  # 8 MiB
+    assert _peak_bytes(syrk, B) < B.nbytes // 64
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (40, 4096), (257, 3000)])
+def test_syrk_lower_triangle_has_numpy_bits(shape, order):
+    rng = np.random.default_rng(shape[0] * 4099 + shape[1])
+    B = np.asarray(rng.standard_normal(shape), order=order)
+    assert np.array_equal(np.tril(syrk(B)), np.tril(B @ B.T))
