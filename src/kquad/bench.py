@@ -472,6 +472,8 @@ def parse_config(path) -> ExperimentConfig:
         key, value = key.strip().lower(), value.strip()
         if key not in _CONFIG_KEYS:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise InputError(f"{path}:{lineno}: repeated key {key!r}")
         kind = _CONFIG_KEYS[key]
         try:
             if kind == "list":

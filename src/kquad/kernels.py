@@ -210,7 +210,7 @@ def gram(kernel: KernelSpec, X, Y=None) -> np.ndarray:
 
 
 def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
-    """K(X, Y) b, or K(X, X) b with Y None, never holding more than one tile.
+    """K(X, Y) b, never holding more than one tile.
 
     The walk takes _TILE-square tiles, column block J outer and row block I
     inner; each tile K_IJ is filled into one reused buffer and adds K_IJ b_J to

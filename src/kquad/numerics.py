@@ -1,13 +1,14 @@
-"""Dense linear algebra: the BLAS products of the rule-building path, an
-eigendecomposition and a rank-revealing pseudo-inverse solve.
+"""Dense linear algebra: the BLAS products of the rule-building path and a
+rank-revealing pseudo-inverse solve.
 
-``eig_sym`` gives the full spectrum, which the exact leverage scores and the
-spectral module need.  ``pinv_apply`` needs only a solve, so it factors with
+``pinv_apply`` needs only a solve, not a spectrum, so it factors with
 LAPACK's pivoted Cholesky (``dpstrf``, about m^3/3 flops; several times
 faster than a full eigendecomposition at m in the thousands).  The
 factorization picks pivots greedily by largest residual diagonal and stops
 when that residual falls to the level of float64 rounding, which reveals the
-numerical rank.
+numerical rank.  The spectra that the exact leverage scores and the
+covariance spectrum need come from scipy's ``eigh`` and ``eigvalsh``, called
+where they are used.
 
 One BLAS builds every rule.  numpy and scipy each ship their own OpenBLAS
 (scipy-openblas64 0.3.31 and scipy-openblas32 0.3.30 under numpy 2.4.6 and
@@ -24,8 +25,6 @@ OpenBLAS runs them on one thread below 10000 entries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
@@ -52,26 +51,6 @@ def syrk(B: np.ndarray) -> np.ndarray:
     ``dsyrk``, bit for bit; its strict upper triangle is not the product.
     A Fortran-ordered B, as ``solve_triangular`` returns it, is not copied."""
     return dsyrk(1.0, B, lower=1)
-
-
-@dataclass(frozen=True)
-class SymmetricEigen:
-    """Full spectrum of a symmetric matrix, eigenvalues descending."""
-
-    values: np.ndarray
-    vectors: np.ndarray  # orthonormal columns, aligned with values
-
-
-def eig_sym(A) -> SymmetricEigen:
-    """Eigendecomposition of a (defensively symmetrized) real matrix."""
-    M = np.asarray(A, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError("eig_sym expects a square matrix")
-    if not np.all(np.isfinite(M)):
-        raise InputError("matrix contains non-finite entries")
-    S = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(S)
-    return SymmetricEigen(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
 def _pivoted_cholesky(S: np.ndarray):

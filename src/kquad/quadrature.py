@@ -1,4 +1,4 @@
-"""Quadrature rules: optimal weights, exact worst-case error, MMD, compression.
+"""Quadrature rules: optimal weights, exact worst-case error, compression.
 
 A rule (nodes X~, weights w) approximates integration against a target
 measure.  The optimal weights solve the least-squares problem of projecting
@@ -192,21 +192,6 @@ def _error(T: float, w: np.ndarray, v: np.ndarray, Km: np.ndarray) -> float:
     if e2 < -1e-8:
         raise NumericalError(f"squared worst-case error {e2:.3e} is negative beyond tolerance")
     return math.sqrt(max(e2, 0.0))
-
-
-def mmd(kernel: KernelSpec, points_a, weights_a, points_b, weights_b) -> float:
-    """Embedding distance between two weighted point sets."""
-    A, B = _as_points(points_a), _as_points(points_b)
-    a = np.asarray(weights_a, dtype=np.float64).ravel()
-    b = np.asarray(weights_b, dtype=np.float64).ravel()
-    m2 = math.fsum(
-        [
-            math.fsum(a * _kernel_matvec(kernel, A, None, a)),
-            -2.0 * math.fsum(a * _kernel_matvec(kernel, A, B, b)),
-            math.fsum(b * _kernel_matvec(kernel, B, None, b)),
-        ]
-    )
-    return math.sqrt(max(m2, 0.0))
 
 
 def compress(

@@ -14,22 +14,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, eigh, solve_triangular
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, _as_points, gram, sup_norm_bound
-from .numerics import _pivoted_cholesky, eig_sym, syrk
+from .numerics import _pivoted_cholesky, matvec, syrk
 from .spectral import lambda_rule
 
 
 @dataclass(frozen=True)
 class LeverageScores:
-    """Per-point scores at regularization lam, with provenance."""
+    """Per-point scores at regularization lam."""
 
     lam: float
     values: np.ndarray
-    mode: str  # "exact" | "pilot"
-    pilot_size: int | None = None
 
 
 def uniform_subsample(
@@ -54,21 +52,26 @@ def uniform_subsample(
 
 
 def exact_rls(K, lam: float) -> LeverageScores:
-    """Exact ridge leverage scores of a PSD Gram matrix at regularization lam."""
+    """Exact ridge leverage scores of a PSD Gram matrix at regularization lam.
+
+    The spectrum comes from scipy's ``eigh``, which reads the lower triangle
+    of K.
+    """
     if not 0 < lam < math.inf:
         raise InputError(f"lambda must be positive and finite, got {lam}")
     M = np.asarray(K, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError("exact_rls expects a square matrix")
+    if not np.all(np.isfinite(M)):
+        raise InputError("matrix contains non-finite entries")
     n = M.shape[0]
-    eig = eig_sym(M)
-    floor = -1e-8 * max(1.0, float(eig.values[0]))
-    if float(eig.values[-1]) < floor:
+    sig, V = eigh(M, check_finite=False)  # ascending
+    if float(sig[0]) < -1e-8 * max(1.0, float(sig[-1])):
         raise NumericalError(
-            f"Gram matrix is not PSD within tolerance: eigenvalue {float(eig.values[-1]):.6g}"
+            f"Gram matrix is not PSD within tolerance: eigenvalue {float(sig[0]):.6g}"
         )
-    sig = np.clip(eig.values, 0.0, None)
-    weights = sig / (sig + lam * n)
-    values = (eig.vectors**2) @ weights
-    return LeverageScores(lam=lam, values=values, mode="exact")
+    sig = np.clip(sig, 0.0, None)
+    return LeverageScores(lam=lam, values=matvec(V * V, sig / (sig + lam * n)))
 
 
 def approx_rls_pilot(
@@ -97,6 +100,8 @@ def approx_rls_pilot(
         pilot_size = min(n, int(math.ceil(4.0 * math.sqrt(n))))
     if not 0 < lam < math.inf:
         raise InputError(f"lambda must be positive and finite, got {lam}")
+    if not math.isfinite(lam * n):  # the ridge lambda * n on the diagonal of G
+        raise InputError(f"lambda * n overflows: lambda = {lam}, n = {n}")
     if not 1 <= pilot_size <= n:
         raise InputError(f"pilot size must lie in [1, {n}]")
     if pilot_indices is None:
@@ -112,7 +117,7 @@ def approx_rls_pilot(
     C = cholesky(G, lower=True, overwrite_a=True, check_finite=False)
     Z = solve_triangular(C, B, lower=True)
     values = np.einsum("ij,ij->j", Z, Z)
-    return LeverageScores(lam=lam, values=values, mode="pilot", pilot_size=len(pilot_indices))
+    return LeverageScores(lam=lam, values=values)
 
 
 def sample_proportional(

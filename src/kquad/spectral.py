@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from .errors import InputError
-from .numerics import eig_sym
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,15 @@ def effective_dimension(spectrum, lam: float) -> float:
 
 
 def empirical_covariance_spectrum(gram_matrix) -> np.ndarray:
-    """Eigenvalues of a Gram matrix divided by n (covariance-operator scale)."""
-    eig = eig_sym(gram_matrix)
-    return np.clip(eig.values, 0.0, None) / gram_matrix.shape[0]
-
-
-def d_infinity_empirical(scores) -> float:
-    """n * max leverage score: the empirical essential-sup counterpart of the
-    whitened feature norm."""
-    if scores.mode != "exact":
-        raise InputError("d_infinity requires exact-mode leverage scores")
-    return float(len(scores.values) * np.max(scores.values))
+    """Eigenvalues of a Gram matrix divided by n (covariance-operator scale),
+    descending.  They come from scipy's ``eigvalsh``, which reads the lower
+    triangle."""
+    M = np.asarray(gram_matrix, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError("empirical_covariance_spectrum expects a square matrix")
+    if not np.all(np.isfinite(M)):
+        raise InputError("matrix contains non-finite entries")
+    return np.clip(eigvalsh(M, check_finite=False)[::-1], 0.0, None) / M.shape[0]
 
 
 def decay_bound(model: DecayModel, lam: float, trace: float | None = None) -> float:
@@ -143,36 +141,6 @@ def lambda_rule(strategy: str, size: int, K: float = 1.0, delta: float = 0.1) ->
     if strategy == "arls":
         return 19.0 * K * K * math.log(32.0 * size / delta) / size
     raise InputError(f"unknown strategy {strategy!r}")
-
-
-def subsample_size_rule(
-    n: int, model: DecayModel, z: float = 1.0, delta: float = 0.1, K: float = 1.0
-) -> int:
-    """Node-count rule guaranteeing the fast quantization rate, rounded up.
-
-    Polynomial decay: n^gamma (log 32n/delta)^(1-gamma) * 78 c z^2 / (19 K^2)^gamma
-    with c = a/(1-gamma) for gamma < 1 and c = K^2 at gamma = 1.
-    Exponential decay: max(334, 78 z^2 / beta) * log(max(2a/(19K^2), 48/delta) n)^2.
-    """
-    if n <= 0 or z < 1.0 or not 0.0 < delta < 1.0 or K <= 0:
-        raise InputError("need n > 0, z >= 1, delta in (0, 1), K > 0")
-    if model.kind == "polynomial":
-        gamma = model.rate
-        c = K * K if gamma >= 1.0 else model.amplitude / (1.0 - gamma)
-        value = (
-            n**gamma
-            * math.log(32.0 * n / delta) ** (1.0 - gamma)
-            * 78.0
-            * c
-            * z
-            * z
-            / (19.0 * K * K) ** gamma
-        )
-    else:
-        prefac = max(334.0, 78.0 * z * z / model.rate)
-        inner = max(2.0 * model.amplitude / (19.0 * K * K), 48.0 / delta)
-        value = prefac * math.log(inner * n) ** 2
-    return int(math.ceil(value))
 
 
 # Rate-curve spec schema: curve -> accepted keys and their value parsers.
@@ -279,32 +247,3 @@ def rate_slope(m_values, errors) -> tuple[float, float, float]:
         return 0.0, float(ym), 0.0
     ssr = float(np.sum((y - (intercept + slope * x)) ** 2))
     return float(slope), float(intercept), float(1.0 - ssr / sst)
-
-
-def fit_decay_model(spectrum, kind: str) -> DecayModel:
-    """Diagnostic decay fit from an empirical spectrum.
-
-    Least squares on (log i, log sigma_i) for the polynomial kind, or
-    (i, log sigma_i) for the exponential kind, over the top half of the
-    eigenvalues above 1e-12 * sigma_1.  The amplitude is then inflated so the
-    fitted envelope dominates the used range.
-    """
-    sig = np.sort(np.asarray(spectrum, dtype=np.float64).ravel())[::-1]
-    if sig.size == 0 or sig[0] <= 0:
-        raise InputError("spectrum must contain a positive leading eigenvalue")
-    kept = sig[sig > 1e-12 * sig[0]]
-    top = kept[: max(2, kept.size // 2)]
-    idx = np.arange(1, top.size + 1, dtype=np.float64)
-    logs = np.log(top)
-    if kind == "polynomial":
-        x = np.log(idx)
-        slope = float(np.polyfit(x, logs, 1)[0])
-        gamma = min(1.0, max(1e-6, -1.0 / min(slope, -1e-6)))
-        amplitude = float(np.max(top * idx ** (1.0 / gamma)))
-        return DecayModel(kind="polynomial", rate=gamma, amplitude=amplitude)
-    if kind == "exponential":
-        slope = float(np.polyfit(idx, logs, 1)[0])
-        beta = max(1e-6, -slope)
-        amplitude = float(np.max(top * np.exp(beta * idx)))
-        return DecayModel(kind="exponential", rate=beta, amplitude=amplitude)
-    raise InputError(f"unknown decay kind {kind!r}")

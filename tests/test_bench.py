@@ -524,6 +524,9 @@ def test_parse_config_errors(tmp_path):
     bad.write_text("dataset = uniform_cube:d=1\n", encoding="utf-8")
     with pytest.raises(InputError, match="missing required"):
         parse_config(bad)
+    bad.write_text("dataset = uniform_cube:d=1\ntrials = 1\n\nTrials = 3\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"bad\.cfg:4: repeated key 'trials'"):
+        parse_config(bad)
 
 
 def test_summary_path_for():

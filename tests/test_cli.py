@@ -304,12 +304,14 @@ def _rates_summary(tmp_path):
         ("run", "uniform_cube:d=-1"),
         ("run", "uniform_cube:d=0"),
         ("run-methods", "arls:lambda=nan"),
+        ("run-methods", "arls:lambda=1e308"),
         ("compress", "arls:lambda=abc"),
         ("compress", "arls:pilot=1.5"),
         ("compress", "arls:lambda=nan"),
         ("compress", "arls:lambda=inf"),
         ("compress", "arls:lambda=-1"),
         ("compress", "arls:lambda=0"),
+        ("compress", "arls:lambda=1e308"),
         ("compress", "uniform:foo=1"),
         ("compress", "uniform-wr:x=1"),
         ("compress", "monte-carlo:x=1"),

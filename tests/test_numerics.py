@@ -7,49 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpstrf
 
 from kquad import InputError
-from kquad.numerics import _pivoted_cholesky, eig_sym, matvec, pinv_apply, syrk
+from kquad.numerics import _pivoted_cholesky, matvec, pinv_apply, syrk
 
 
 def random_psd(rng, n):
     A = rng.standard_normal((n, n))
     return A @ A.T
-
-
-def test_eig_identity():
-    e = eig_sym(np.eye(3))
-    assert np.allclose(e.values, [1.0, 1.0, 1.0])
-
-
-def test_eig_2x2_known_spectra():
-    e = eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(e.values, [3.0, 1.0], atol=1e-12)
-    e = eig_sym(np.ones((2, 2)))
-    assert np.allclose(e.values, [2.0, 0.0], atol=1e-12)
-
-
-def test_eig_descending_reconstruction_orthonormal():
-    rng = np.random.default_rng(0)
-    for n in (2, 5, 9):
-        A = random_psd(rng, n) - 1.5 * np.eye(n)
-        e = eig_sym(A)
-        assert np.all(np.diff(e.values) <= 0)
-        recon = e.vectors @ np.diag(e.values) @ e.vectors.T
-        assert np.max(np.abs(recon - A)) <= 1e-8 * (1 + np.max(np.abs(A)))
-        assert np.max(np.abs(e.vectors.T @ e.vectors - np.eye(n))) <= 1e-8
-
-
-def test_eig_deterministic():
-    A = random_psd(np.random.default_rng(1), 6)
-    e1, e2 = eig_sym(A), eig_sym(A)
-    assert np.array_equal(e1.values, e2.values)
-    assert np.array_equal(e1.vectors, e2.vectors)
-
-
-def test_eig_input_errors():
-    with pytest.raises(InputError):
-        eig_sym(np.ones((2, 3)))
-    with pytest.raises(InputError):
-        eig_sym(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 def test_pinv_identity():

@@ -5,7 +5,7 @@ from scipy.linalg import solve_triangular
 from kquad import InputError, NumericalError
 from kquad.bench import gen_synthetic
 from kquad.kernels import gaussian, gram, parse_kernel
-from kquad.numerics import _pivoted_cholesky, eig_sym
+from kquad.numerics import _pivoted_cholesky
 from kquad.sampling import (
     approx_rls_pilot,
     exact_rls,
@@ -73,7 +73,7 @@ def test_exact_rls_trace_identity():
         K = gram(gaussian(0.8), X)
         lam = 10 ** rng.uniform(-4, 0)
         scores = exact_rls(K, lam)
-        sig = eig_sym(K).values
+        sig = np.linalg.eigvalsh(K)
         expected = np.sum(sig / (sig + lam * n))
         assert abs(scores.values.sum() - expected) < 1e-8
         assert np.all(scores.values > 0) and np.all(scores.values < 1)
@@ -121,7 +121,6 @@ def test_pilot_full_matches_exact():
     lam = 0.05
     exact = exact_rls(gram(kern, X), lam)
     pilot = approx_rls_pilot(X, kern, lam, pilot_size=16, rng=np.random.default_rng(0))
-    assert pilot.mode == "pilot" and pilot.pilot_size == 16
     assert np.max(np.abs(pilot.values - exact.values)) < 1e-6
 
 
@@ -249,7 +248,7 @@ def test_pilot_validation():
 
 def test_sample_proportional_point_mass():
     scores = exact_rls(np.eye(3), 0.1)
-    masked = type(scores)(lam=scores.lam, values=np.array([1.0, 0.0, 0.0]), mode="exact")
+    masked = type(scores)(lam=scores.lam, values=np.array([1.0, 0.0, 0.0]))
     idx = sample_proportional(masked, 4, rng=np.random.default_rng(0))
     assert idx.tolist() == [0, 0, 0, 0]
 
@@ -257,12 +256,12 @@ def test_sample_proportional_point_mass():
 def test_sample_proportional_frequencies():
     from kquad.sampling import LeverageScores
 
-    flat = LeverageScores(lam=0.1, values=np.ones(4), mode="exact")
+    flat = LeverageScores(lam=0.1, values=np.ones(4))
     idx = sample_proportional(flat, 100_000, rng=np.random.default_rng(7))
     freqs = np.bincount(idx, minlength=4) / idx.size
     assert np.max(np.abs(freqs - 0.25)) < 0.01
 
-    skew = LeverageScores(lam=0.1, values=np.array([3.0, 1.0]), mode="exact")
+    skew = LeverageScores(lam=0.1, values=np.array([3.0, 1.0]))
     idx = sample_proportional(skew, 100_000, rng=np.random.default_rng(8))
     f0 = np.mean(idx == 0)
     assert 0.74 <= f0 <= 0.76
@@ -271,7 +270,7 @@ def test_sample_proportional_frequencies():
 def test_sample_proportional_all_zero():
     from kquad.sampling import LeverageScores
 
-    zero = LeverageScores(lam=0.1, values=np.zeros(3), mode="exact")
+    zero = LeverageScores(lam=0.1, values=np.zeros(3))
     with pytest.raises(InputError):
         sample_proportional(zero, 2)
 

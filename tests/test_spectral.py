@@ -5,18 +5,14 @@ import pytest
 
 from kquad import InputError
 from kquad.kernels import gaussian, gram
-from kquad.numerics import eig_sym
 from kquad.sampling import exact_rls
 from kquad.spectral import (
     DecayModel,
     check_decay_bounds,
-    d_infinity_empirical,
     effective_dimension,
     empirical_covariance_spectrum,
-    fit_decay_model,
     lambda_rule,
     rate_slope,
-    subsample_size_rule,
     theoretical_rate_curve,
 )
 
@@ -49,31 +45,6 @@ def test_effective_dimension_rejects_negative_spectrum():
         effective_dimension([1.0, -1e-6], 0.1)
     with pytest.raises(InputError):
         effective_dimension([1.0], 0.0)
-
-
-def test_d_infinity_identity_gram():
-    lam = 0.2
-    scores = exact_rls(np.eye(8), lam)
-    assert abs(d_infinity_empirical(scores) - 8.0 / (1.0 + lam * 8)) < 1e-12
-
-
-def test_d_infinity_dominates_effective_dimension():
-    rng = np.random.default_rng(1)
-    K = gram(gaussian(0.7), rng.standard_normal((32, 2)))
-    for lam in (1e-3, 1e-2, 1e-1):
-        scores = exact_rls(K, lam)
-        deff = effective_dimension(empirical_covariance_spectrum(K), lam)
-        dinf = d_infinity_empirical(scores)
-        assert deff <= dinf + 1e-10
-        assert dinf <= 1.0 / lam + 1e-10  # K = 1 for the gaussian kernel
-
-
-def test_d_infinity_needs_exact_scores():
-    from kquad.sampling import LeverageScores
-
-    pilot = LeverageScores(lam=0.1, values=np.ones(3), mode="pilot", pilot_size=2)
-    with pytest.raises(InputError):
-        d_infinity_empirical(pilot)
 
 
 def test_polynomial_decay_bound_direct_sum():
@@ -138,31 +109,6 @@ def test_lambda_rule_values():
     assert all(b < a for a, b in zip(ms, ms[1:]))
     with pytest.raises(InputError):
         lambda_rule("dpp", 100)
-
-
-def test_subsample_size_polynomial_scaling():
-    model = DecayModel(kind="polynomial", rate=0.5, amplitude=1.0)
-    n = 10_000
-    m1 = subsample_size_rule(n, model)
-    m4 = subsample_size_rule(4 * n, model)
-    predicted = 2.0 * math.sqrt(math.log(4 * n) / math.log(n))
-    assert abs(m4 / m1 - predicted) / predicted < 0.05
-
-
-def test_subsample_size_exponential_scaling():
-    model = DecayModel(kind="exponential", rate=1.0, amplitude=1.0)
-    inner = max(2.0 / 19.0, 480.0)
-    ratios = [
-        subsample_size_rule(n, model) / math.log(inner * n) ** 2 for n in (10**4, 10**5, 10**6)
-    ]
-    assert max(ratios) - min(ratios) < 1e-2 * max(ratios)
-
-
-def test_subsample_size_gamma_one_linear():
-    model = DecayModel(kind="polynomial", rate=1.0, amplitude=1.0)
-    m1 = subsample_size_rule(10_000, model)
-    m2 = subsample_size_rule(20_000, model)
-    assert abs(m2 / m1 - 2.0) < 1e-3
 
 
 def test_rate_curve_sobolev_ratio():
@@ -240,22 +186,18 @@ def test_rate_slope_validation():
         rate_slope([16, 16, 16], [0.1, 0.2, 0.3])  # one m: no slope
 
 
-def test_fit_decay_model_recovers_planted():
-    i = np.arange(1, 201, dtype=np.float64)
-    poly = fit_decay_model(2.0 * i**-4.0, "polynomial")
-    assert abs(poly.rate - 0.25) < 0.02
-    expo = fit_decay_model(3.0 * np.exp(-0.7 * i), "exponential")
-    assert abs(expo.rate - 0.7) < 0.02
-    # fitted envelopes dominate the spectra they were fit on
-    assert check_decay_bounds(poly, 2.0 * i**-4.0, [1e-3]).all_within
-    with pytest.raises(InputError):
-        fit_decay_model(i**-2.0, "harmonic")
-
-
 def test_empirical_spectrum_convention():
     rng = np.random.default_rng(2)
     K = gram(gaussian(0.9), rng.standard_normal((20, 2)))
     spectrum = empirical_covariance_spectrum(K)
     assert np.all(spectrum >= 0)
     assert abs(spectrum.sum() - np.trace(K) / 20) < 1e-10
-    assert np.allclose(spectrum * 20, np.clip(eig_sym(K).values, 0, None))
+    assert np.allclose(spectrum * 20, np.clip(np.linalg.eigvalsh(K)[::-1], 0, None))
+
+
+def test_spectrum_input_errors():
+    for bad in (np.ones((2, 3)), np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        with pytest.raises(InputError):
+            exact_rls(bad, 0.1)
+        with pytest.raises(InputError):
+            empirical_covariance_spectrum(bad)
