@@ -303,6 +303,9 @@ def _validate(config: ExperimentConfig, n: int) -> tuple[tuple, dict]:
         raise InputError(f"workers must be >= 1, got {config.workers}")
     if not config.methods:
         raise InputError("need at least one method")
+    repeated = [m for i, m in enumerate(config.methods) if m in config.methods[:i]]
+    if repeated:  # its rows would be written twice and fold into one summary cell
+        raise InputError(f"method {repeated[0]!r} is listed more than once")
     heads = {method: parse_spec(method, "method", METHODS)[0] for method in config.methods}
     if config.target not in ("data", "unit-cube"):
         raise InputError("target must be 'data' or 'unit-cube'")

@@ -11,7 +11,10 @@ data at each step:
 
 Each iteration orthonormalizes the newly selected feature against the
 previous ones (a Newton basis), which updates the residual and the power
-function for all n candidates in O(n) time after the O(n) kernel row.
+function for all n candidates.  Step k fills one kernel row, O(n), and
+projects it on the k earlier basis vectors with one product over all
+candidates, O(nk); the coefficients are stored candidate-major, so that
+product reads the leading k columns in place.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import KernelSpec, _as_points, diagonal, gram
+from .kernels import KernelSpec, _as_points, _fill, diagonal
 
 VARIANTS = ("f", "P", "f_over_P")
 
@@ -57,7 +60,7 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown greedy variant {variant!r}; expected one of {VARIANTS}")
-    P = _as_points(X)
+    P = _as_points(X, kernel)
     n = P.shape[0]
     if not 1 <= m <= n:
         raise InputError(f"m must lie in [1, {n}]")
@@ -68,12 +71,13 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
         if f.shape[0] != n:
             raise InputError(f"expected {n} function values, got {f.shape[0]}")
 
-    coeffs = np.zeros((m, n))
+    coeffs = np.zeros((n, m))  # coeffs[i, k] = <u_k, phi(x_i)>
     powfun2 = diagonal(kernel, P)
     residual = f.copy()
     f_coeffs = np.zeros(m)
     selected: list[int] = []
     in_span = np.zeros(n, dtype=bool)
+    row = np.empty(n)
 
     for k in range(m):
         feasible = (~in_span) & (powfun2 > _STABILITY_FLOOR)
@@ -84,29 +88,26 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
         elif variant == "f":
             crit = np.abs(residual)
         else:
-            crit = np.full(n, -np.inf)
-            crit[feasible] = residual[feasible] ** 2 / powfun2[feasible]
+            crit = residual**2 / np.maximum(powfun2, _STABILITY_FLOOR)
         crit[~feasible] = -np.inf
         j = int(np.argmax(crit))  # first max -> lowest index on ties
-        self_mass = powfun2[j]
         selected.append(j)
         in_span[j] = True
 
-        root = np.sqrt(self_mass)
-        row = gram(kernel, P[j : j + 1], P)[0]
-        update = powfun2 > _STABILITY_FLOOR
-        if k:
-            coeffs[k, update] = (row[update] - coeffs[:k, j] @ coeffs[:k, update]) / root
-        else:
-            coeffs[k, update] = row[update] / root
+        root = np.sqrt(powfun2[j])
+        _fill(kernel, P[j : j + 1], P, row[None, :])
+        c = row - coeffs[:, :k] @ coeffs[j, :k]
+        c[powfun2 <= _STABILITY_FLOOR] = 0.0  # already in the span: no update
+        c /= root
+        coeffs[:, k] = c
         f_coeffs[k] = residual[j] / root
-        residual -= f_coeffs[k] * coeffs[k]
-        powfun2 = np.maximum(powfun2 - coeffs[k] ** 2, 0.0)
+        residual -= f_coeffs[k] * c
+        powfun2 = np.maximum(powfun2 - c**2, 0.0)
 
     t = len(selected)
     return GreedyState(
         selected=np.asarray(selected, dtype=np.intp),
-        coeffs=coeffs[:t],
+        coeffs=coeffs[:, :t].T,
         residual=residual,
         powfun2=powfun2,
         f_coeffs=f_coeffs[:t],

@@ -60,8 +60,8 @@ def exact_rls(K, lam: float) -> LeverageScores:
     if not 0 < lam < math.inf:
         raise InputError(f"lambda must be positive and finite, got {lam}")
     M = np.asarray(K, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError("exact_rls expects a square matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise InputError("exact_rls expects a nonempty square matrix")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix contains non-finite entries")
     n = M.shape[0]

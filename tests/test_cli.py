@@ -305,6 +305,7 @@ def _rates_summary(tmp_path):
         ("run", "uniform_cube:d=0"),
         ("run-methods", "arls:lambda=nan"),
         ("run-methods", "arls:lambda=1e308"),
+        ("run-methods", "uniform, uniform"),
         ("compress", "arls:lambda=abc"),
         ("compress", "arls:pilot=1.5"),
         ("compress", "arls:lambda=nan"),

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kquad import InputError
 from kquad.bench import gen_synthetic
-from kquad.greedy import greedy_select
-from kquad.kernels import gaussian, gram, periodic_sobolev
+from kquad.greedy import VARIANTS, greedy_select
+from kquad.kernels import gaussian, gram, laplacian, periodic_sobolev
 from kquad.quadrature import (
     TargetMeasure,
     compress,
@@ -144,6 +146,50 @@ def test_truncation_on_duplicates():
     state = greedy_select(X, gaussian(0.8), None, 5, "P")
     assert state.truncated
     assert len(state.selected) == 3
+
+
+def test_in_span_candidates_get_exact_zero_coefficients():
+    base = np.random.default_rng(15).random((6, 2))
+    X = np.vstack([base, base[::-1], base[:3]])  # 15 rows, 6 distinct
+    f = np.sin(X.sum(axis=1))
+    kern = gaussian(0.8)
+    checked = 0
+    for variant in VARIANTS:
+        state = greedy_select(X, kern, f, 6, variant)
+        t = len(state.selected)
+        assert len(set(state.selected.tolist())) == t
+        assert state.coeffs.shape == (t, 15)
+        for k in range(1, t):
+            in_span = greedy_select(X, kern, f, k, variant).powfun2 <= 1e-10
+            assert np.all(state.coeffs[k, in_span] == 0.0)
+            checked += int(in_span.sum())
+    assert checked > 0
+
+
+def test_points_are_checked_against_the_kernel():
+    X = np.random.default_rng(16).random((5, 2))
+    far = X.copy()
+    far[3, 0] = 2.0**501
+    with pytest.raises(InputError, match="2\\^500"):
+        greedy_select(far, gaussian(1.0), None, 2, "P")
+    with pytest.raises(InputError, match="sobolev kernel dimension"):
+        greedy_select(X, periodic_sobolev(1, 3), None, 2, "P")
+
+
+def test_selection_memory_is_one_coefficient_array():
+    # the coefficients are the one (m, n) array a selection needs; no step
+    # may copy a block of them
+    X = gen_synthetic("gaussian_mixture:d=8,k=3,sep=5", 2048, 1).points
+    kern, m = laplacian(3.0), 128
+    greedy_select(X, kern, None, m, "P")  # warm-up: first-call allocations of numpy and scipy
+    tracemalloc.start()
+    try:
+        state = greedy_select(X, kern, None, m, "P")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not state.truncated
+    assert peak <= 1.25 * m * X.shape[0] * 8
 
 
 def test_variant_and_shape_validation():

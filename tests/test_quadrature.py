@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kquad import InputError, NumericalError, kernels, quadrature
 from kquad.greedy import greedy_select
-from kquad.kernels import evaluate, gaussian, gram, laplacian, periodic_sobolev
+from kquad.kernels import evaluate, gaussian, gram, laplacian, parse_kernel, periodic_sobolev
 from kquad.quadrature import (
     METHODS,
     QuadratureRule,
@@ -247,17 +247,29 @@ def test_error_is_nonnegative_and_invariant_under_permutation(
 @settings(max_examples=30, deadline=None)
 @given(
     seed=CASES["seed"], n=CASES["n"], d=CASES["d"], laplace=st.booleans(),
-    sigma=st.floats(0.25, 4.0), k=st.integers(-40, 40), m_frac=st.floats(0.0, 1.0),
+    sigma=st.one_of(st.floats(0.25, 4.0), st.just("median")),
+    k=st.integers(-40, 40), m_frac=st.floats(0.0, 1.0),
 )
 def test_power_of_two_scaling_leaves_the_rule_unchanged(seed, n, d, laplace, sigma, k, m_frac):
-    """Points and a fixed sigma both scaled by 2^k give every kernel value, and
-    so the same rule, bit for bit."""
+    """Points and sigma both scaled by 2^k give every kernel value, and so the
+    same rule, bit for bit.  The median sigma scales with the points exactly:
+    its distances are square roots of sums of squared differences."""
+    assume(sigma != "median" or n >= 2)
     X = np.random.default_rng(seed).standard_normal((n, d))
     family = laplacian if laplace else gaussian
+
+    def kernel(scale):
+        if sigma == "median":
+            text = "laplacian:sigma=median" if laplace else "gaussian:sigma=median"
+            return parse_kernel(text, points=X * scale, rng=np.random.default_rng(seed))
+        return family(sigma * scale)
+
+    kern, scaled_kern = kernel(1.0), kernel(2.0**k)
+    assert scaled_kern.bandwidth == kern.bandwidth * 2.0**k
     m = max(1, round(m_frac * n))
-    for method in ("uniform", "arls", "fp-greedy", "monte-carlo"):
-        rule = compress(X, family(sigma), method, m, rng=seed)
-        scaled = compress(X * 2.0**k, family(sigma * 2.0**k), method, m, rng=seed)
+    for method in ("uniform", "arls", "p-greedy", "f-greedy", "fp-greedy", "monte-carlo"):
+        rule = compress(X, kern, method, m, rng=seed)
+        scaled = compress(X * 2.0**k, scaled_kern, method, m, rng=seed)
         assert scaled.error == rule.error
         assert np.array_equal(scaled.weights, rule.weights)
         assert np.array_equal(scaled.indices, rule.indices)

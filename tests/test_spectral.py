@@ -201,3 +201,5 @@ def test_spectrum_input_errors():
             exact_rls(bad, 0.1)
         with pytest.raises(InputError):
             empirical_covariance_spectrum(bad)
+    with pytest.raises(InputError):
+        exact_rls(np.zeros((0, 0)), 0.1)
