@@ -38,7 +38,6 @@ from .spectral import (
     check_decay_bounds,
     effective_dimension,
     empirical_covariance_spectrum,
-    lambda_rule,
     rate_slope,
     theoretical_rate_curve,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "check_decay_bounds",
     "effective_dimension",
     "empirical_covariance_spectrum",
-    "lambda_rule",
     "rate_slope",
     "theoretical_rate_curve",
     "Dataset",

@@ -57,11 +57,9 @@ SUMMARY_HEADER = "method,m,error_median,error_std,time_median"
 
 @dataclass
 class Dataset:
-    """n points in d dimensions, optionally standardized per feature."""
+    """n points in d dimensions."""
 
     points: np.ndarray
-    name: str = "data"
-    standardized: bool = False
 
 
 @dataclass
@@ -198,7 +196,7 @@ def load_csv(path, standardize: bool = False) -> Dataset:
         raise InputError(f"{path}: non-finite values")
     if standardize:
         points = standardize_points(points)
-    return Dataset(points=points, name=os.path.basename(str(path)), standardized=standardize)
+    return Dataset(points=points)
 
 
 def save_rule(rule: QuadratureRule, path) -> None:
@@ -260,13 +258,12 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
             raise InputError(f"dataset {key} must be >= 1, got {params[key]}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if kind == "uniform_cube":
-        d = params.get("d", 1)
-        return Dataset(points=rng.random((n, d)), name=f"uniform_cube(d={d})")
+        return Dataset(points=rng.random((n, params.get("d", 1))))
     d, k, sep = params.get("d", 2), params.get("k", 3), params.get("sep", 5.0)
     centers = _mixture_centers(d, k, sep, rng)
     labels = rng.integers(0, k, size=n)
     pts = centers[labels] + rng.standard_normal((n, d))
-    return Dataset(points=pts, name=f"gaussian_mixture(d={d},k={k},sep={sep})")
+    return Dataset(points=pts)
 
 
 def _resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -283,7 +280,6 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     ds = gen_synthetic(config.dataset, config.n, seed)
     if config.standardize:
         ds.points = standardize_points(ds.points)
-        ds.standardized = True
     return ds
 
 
@@ -317,14 +313,13 @@ def _validate(config: ExperimentConfig, n: int) -> tuple[tuple, dict]:
     return grid, heads
 
 
-def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full method x m x trial sweep described by the config."""
     for key in ("master_seed", "data_seed"):
         seed = getattr(config, key)
         if seed is not None and seed < 0:
             raise InputError(f"{key} must be >= 0, got {seed}")
-    ds = dataset if dataset is not None else _resolve_dataset(config)
-    points = _as_points(ds.points)
+    points = _as_points(_resolve_dataset(config).points)
     grid, heads = _validate(config, points.shape[0])
 
     kernel = parse_kernel(

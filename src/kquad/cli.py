@@ -79,6 +79,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if args.output:
+        _check_output(args.output)
     summary = bench.read_summary_csv(args.summary)
     curve, kwargs = parse_spec(args.model, "curve", spectral.CURVES)
     by_method: dict[str, list] = {}

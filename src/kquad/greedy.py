@@ -48,15 +48,17 @@ class GreedyState:
     residual: np.ndarray
     powfun2: np.ndarray
     f_coeffs: np.ndarray
-    truncated: bool = False
 
 
 def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> GreedyState:
     """Select up to m distinct data indices by the given greedy criterion.
 
-    Ties break toward the lowest index.  If every candidate falls inside the
-    selected span (power mass <= 1e-10) before m picks, the state is returned
-    truncated with the shorter selection.
+    Ties between bit-equal criterion values break toward the lowest index.
+    Identical data rows need not give bit-equal power values after the BLAS
+    products, so a higher-index twin can be picked before its lower-index
+    one.  If every candidate falls inside the selected span (power mass
+    <= 1e-10) before m picks, the state holds the shorter selection, and
+    ``len(state.selected) < m``.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown greedy variant {variant!r}; expected one of {VARIANTS}")
@@ -90,7 +92,7 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
         else:
             crit = residual**2 / np.maximum(powfun2, _STABILITY_FLOOR)
         crit[~feasible] = -np.inf
-        j = int(np.argmax(crit))  # first max -> lowest index on ties
+        j = int(np.argmax(crit))  # first max -> lowest index on bit-equal ties
         selected.append(j)
         in_span[j] = True
 
@@ -111,6 +113,5 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
         residual=residual,
         powfun2=powfun2,
         f_coeffs=f_coeffs[:t],
-        truncated=t < m,
     )
 

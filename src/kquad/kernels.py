@@ -57,6 +57,9 @@ _TILE = 1024
 # temporaries stay in a core's L2 cache.
 _STRIP = 1 << 16
 
+# Points in the random subset whose pairwise distances give sigma=median.
+_MEDIAN_SUBSET = 1000
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -243,8 +246,9 @@ def sup_norm_bound(kernel: KernelSpec) -> float:
     return math.sqrt((1.0 + 2.0 * _ZETA_EVEN[kernel.order]) ** kernel.dim)
 
 
-def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None = None) -> float:
-    """Median pairwise Euclidean distance over a random subset of X.
+def median_heuristic(X, rng: np.random.Generator | None = None) -> float:
+    """Median pairwise Euclidean distance over a random subset of
+    _MEDIAN_SUBSET points of X (all of X if it has fewer).
 
     The distances of the subset's pairs come from scipy's ``pdist``.
     Deterministic given the generator state; raises if the median comes out
@@ -257,11 +261,9 @@ def median_heuristic(X, subset_size: int = 1000, rng: np.random.Generator | None
     n = P.shape[0]
     if n < 2:
         raise InputError("median heuristic needs at least two points")
-    if subset_size < 2:
-        raise InputError("subset_size must be >= 2")
     if rng is None:
         rng = np.random.default_rng(0)
-    idx = rng.permutation(n)[: min(int(subset_size), n)]
+    idx = rng.permutation(n)[:_MEDIAN_SUBSET]
     med = float(np.median(pdist(P[idx])))
     if med <= 0.0:
         raise InputError("median inter-point distance is zero; bandwidth must be positive")

@@ -185,41 +185,21 @@ def worst_case_error(rule: QuadratureRule, target: TargetMeasure, kernel: Kernel
 def _error(T: float, w: np.ndarray, v: np.ndarray, Km: np.ndarray) -> float:
     """E = sqrt(T - 2 w.v + w.K_m w), the three terms summed by fsum.
 
-    Small negative squared errors (above -1e-8) from cancellation are
-    clamped to zero; anything lower raises.
+    Cancellation rounds in proportion to the terms, and |w.v| <=
+    sqrt(T w.K_m w) by Cauchy-Schwarz, so S = max(1, T, w.K_m w) bounds all
+    three: a squared error above -1e-8 S is clamped to zero, anything lower
+    raises.
     """
-    e2 = math.fsum([T, -2.0 * float(w @ v), float(w @ matvec(Km, w))])
-    if e2 < -1e-8:
+    wKw = float(w @ matvec(Km, w))
+    e2 = math.fsum([T, -2.0 * float(w @ v), wKw])
+    if e2 < -1e-8 * max(1.0, T, wKw):
         raise NumericalError(f"squared worst-case error {e2:.3e} is negative beyond tolerance")
     return math.sqrt(max(e2, 0.0))
 
 
-def compress(
-    X,
-    kernel: KernelSpec,
-    method: str,
-    m: int,
-    rng=0,
-    target: TargetMeasure | None = None,
-    kme=None,
-) -> QuadratureRule:
-    """Compress the empirical measure on X into an m-node rule by ``method``.
-
-    ``method`` is a spec of METHODS.  ``monte-carlo`` draws m data points
-    uniformly with replacement and weights them 1/m.  Every other method
-    picks m data points and solves for the optimal weights against
-    ``target`` (default: the uniform discrete measure on X): ``uniform`` and
-    ``uniform-wr`` draw them uniformly without or with replacement,
-    ``arls:lambda=<float|auto>,pilot=<int|auto>`` in proportion to
-    approximate ridge leverage scores, and the greedy methods select them by
-    their ``greedy_select`` criterion.  ``kme`` holds the target's moments at
-    every point of X (computed here unless given); every rule takes its
-    moments from it, and the f and f/P criteria interpolate it.
-    ``rng`` is a Generator or a seed.  The rule carries its worst-case
-    ``error`` against the target and the wall times of the two phases.  This
-    is ``compress_grid`` at the single m.
-    """
-    return next(compress_grid(X, kernel, method, (m,), rng, target, kme))
+def compress(X, kernel: KernelSpec, method: str, m: int, rng=0) -> QuadratureRule:
+    """``compress_grid`` at one m, against the empirical measure on X."""
+    return next(compress_grid(X, kernel, method, (m,), rng))
 
 
 def compress_grid(
@@ -232,15 +212,26 @@ def compress_grid(
     kme=None,
     draw_rng=None,
 ) -> Iterator[QuadratureRule]:
-    """Yield the rule ``compress`` builds at each m of ``ms``, in order.
+    """Compress the measure on X into a rule at each m of ``ms``, in order.
 
-    Each rule carries its worst-case ``error``.  ``kme`` is the target's
-    kernel mean at every point of X, ``target_moments(kernel, X, target)``,
-    computed here once unless given: a rule's moments are ``kme[indices]``,
-    and the f and f/P greedy criteria interpolate it.  For the default
-    target, the discrete measure on X with masses a = 1/n, the self-product
-    is ``a . kme``; an explicit target takes it from ``target_self_product``.
-    A rule's node Gram is dropped once its error is computed.
+    ``method`` is a spec of METHODS.  ``monte-carlo`` draws m data points
+    uniformly with replacement and weights them 1/m.  Every other method
+    picks m data points and solves for the optimal weights against
+    ``target`` (default: the uniform discrete measure on X): ``uniform`` and
+    ``uniform-wr`` draw them uniformly without or with replacement,
+    ``arls:lambda=<float|auto>,pilot=<int|auto>`` in proportion to
+    approximate ridge leverage scores, and the greedy methods select them by
+    their ``greedy_select`` criterion.  ``rng`` is a Generator or a seed.
+    Each rule carries its worst-case ``error`` against the target and the
+    wall times of the two phases.
+
+    ``kme`` is the target's kernel mean at every point of X,
+    ``target_moments(kernel, X, target)``, computed here once unless given: a
+    rule's moments are ``kme[indices]``, and the f and f/P greedy criteria
+    interpolate it.  For the default target, the discrete measure on X with
+    masses a = 1/n, the self-product is ``a . kme``; an explicit target takes
+    it from ``target_self_product``.  A rule's node Gram is dropped once its
+    error is computed.
 
     The work that does not depend on m is done once: the arls pilot scores
     are drawn from ``rng``, and a greedy method runs once at max(ms), the

@@ -19,7 +19,6 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, _as_points, gram, sup_norm_bound
 from .numerics import _pivoted_cholesky, matvec, syrk
-from .spectral import lambda_rule
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,8 @@ def approx_rls_pilot(
     P = _as_points(X)
     n = P.shape[0]
     if lam is None:
-        lam = lambda_rule("arls", n, K=sup_norm_bound(kernel), delta=0.1)
+        K = sup_norm_bound(kernel)
+        lam = 19.0 * K * K * math.log(32.0 * n / 0.1) / n
     if pilot_size is None:
         pilot_size = min(n, int(math.ceil(4.0 * math.sqrt(n))))
     if not 0 < lam < math.inf:

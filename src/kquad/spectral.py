@@ -44,7 +44,6 @@ class DecayModel:
 
 @dataclass(frozen=True)
 class RatePrediction:
-    m_values: np.ndarray
     predicted_error: np.ndarray
     label: str
 
@@ -128,21 +127,6 @@ def check_decay_bounds(model: DecayModel, spectrum, lambdas) -> DecayBoundReport
     return DecayBoundReport(lambdas=lams, effective_dims=deff, bounds=bounds)
 
 
-def lambda_rule(strategy: str, size: int, K: float = 1.0, delta: float = 0.1) -> float:
-    """Regularization level used by the sampling analysis.
-
-    uniform: 12 K^2 log(m / delta) / m with size = m.
-    arls:    19 K^2 log(32 n / delta) / n with size = n.
-    """
-    if size <= 0 or K <= 0 or not 0.0 < delta < 1.0:
-        raise InputError("need size > 0, K > 0 and delta in (0, 1)")
-    if strategy == "uniform":
-        return 12.0 * K * K * math.log(size / delta) / size
-    if strategy == "arls":
-        return 19.0 * K * K * math.log(32.0 * size / delta) / size
-    raise InputError(f"unknown strategy {strategy!r}")
-
-
 # Rate-curve spec schema: curve -> accepted keys and their value parsers.
 CURVES = {
     "sobolev": {"s": int, "d": int},
@@ -217,7 +201,7 @@ def theoretical_rate_curve(
             pred = np.log(m) ** expo / m**expo
     if not np.all(np.isfinite(pred) & (pred > 0.0)):
         raise InputError(f"{label} curve is not a finite positive float at every m")
-    return RatePrediction(m_values=m, predicted_error=pred, label=label)
+    return RatePrediction(predicted_error=pred, label=label)
 
 
 def rate_slope(m_values, errors) -> tuple[float, float, float]:

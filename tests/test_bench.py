@@ -8,7 +8,6 @@ import pytest
 
 from kquad import InputError
 from kquad.bench import (
-    Dataset,
     ExperimentConfig,
     SUMMARY_HEADER,
     ExperimentResult,
@@ -63,7 +62,6 @@ def test_load_csv_standardized(tmp_path):
     path.write_text("0\n2\n", encoding="utf-8")
     ds = load_csv(path, standardize=True)
     assert np.allclose(ds.points.ravel(), [-1.0, 1.0])
-    assert ds.standardized
 
 
 def test_load_csv_header_detection(tmp_path):
@@ -533,10 +531,3 @@ def test_summary_path_for():
     assert summary_path_for("out/results.csv") == "out/results_summary.csv"
     assert summary_path_for("results") == "results_summary.csv"
 
-
-def test_run_experiment_accepts_prebuilt_dataset():
-    rng = np.random.default_rng(4)
-    ds = Dataset(points=rng.random((64, 1)), name="inline")
-    cfg = small_config(dataset="", n=None, kernel="sobolev:s=1,d=1", m_grid=(4, 8))
-    res = run_experiment(cfg, dataset=ds)
-    assert len(res.rows) == 2 * 2 * 3

@@ -274,6 +274,21 @@ def test_compress_checks_output_before_any_work(data_csv, tmp_path, capsys, monk
     assert err.startswith("error:") and str(out) in err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_rates_checks_output_before_any_work(tmp_path, capsys, monkeypatch, where):
+    def never(*args, **kwargs):
+        raise AssertionError("called before the output path was checked")
+
+    monkeypatch.setattr(bench, "read_summary_csv", never)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "overlay.csv"
+    argv = ["rates", "--summary", str(_rates_summary(tmp_path)), "--model", "uniform-exp",
+            "--output", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert "fitted slope" not in captured.out
+
+
 def test_rates_on_a_run_with_a_comma_bearing_method(tmp_path, capsys):
     spec = "arls:lambda=auto,pilot=16"
     cfg = write_run_config(tmp_path, methods=f"uniform, {spec}", m_grid="8, 16, 32")

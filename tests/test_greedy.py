@@ -72,7 +72,7 @@ def test_full_selection_interpolates():
     f = rng.standard_normal(12)
     for variant in ("f", "P", "f_over_P"):
         state = greedy_select(X, kern, f, 12, variant)
-        assert not state.truncated
+        assert len(state.selected) == 12
         assert np.max(state.powfun2) <= 1e-6
         if variant != "P":
             assert np.max(np.abs(state.residual)) <= 1e-6
@@ -144,7 +144,6 @@ def test_truncation_on_duplicates():
     base = np.random.default_rng(10).random((3, 2))
     X = np.vstack([base, base])  # only 3 distinct directions
     state = greedy_select(X, gaussian(0.8), None, 5, "P")
-    assert state.truncated
     assert len(state.selected) == 3
 
 
@@ -188,7 +187,7 @@ def test_selection_memory_is_one_coefficient_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not state.truncated
+    assert len(state.selected) == m
     assert peak <= 1.25 * m * X.shape[0] * 8
 
 

@@ -223,22 +223,22 @@ def test_median_heuristic_small_cases():
 
 def test_median_heuristic_deterministic():
     rng_points = np.random.default_rng(8)
-    X = rng_points.standard_normal((100, 2))
-    a = median_heuristic(X, subset_size=40, rng=np.random.default_rng(11))
-    b = median_heuristic(X, subset_size=40, rng=np.random.default_rng(11))
+    X = rng_points.standard_normal((1500, 2))  # above the 1000-point subset
+    a = median_heuristic(X, rng=np.random.default_rng(11))
+    b = median_heuristic(X, rng=np.random.default_rng(11))
     assert a == b
-    c = median_heuristic(X, subset_size=40, rng=np.random.default_rng(12))
+    c = median_heuristic(X, rng=np.random.default_rng(12))
     assert c != a  # different subset, generically different median
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_median_heuristic_matches_einsum_oracle(d):
-    X = np.random.default_rng(d).standard_normal((300, d))
-    got = median_heuristic(X, subset_size=120, rng=np.random.default_rng(9))
-    S = X[np.random.default_rng(9).permutation(300)[:120]]
+    X = np.random.default_rng(d).standard_normal((1500, d))
+    got = median_heuristic(X, rng=np.random.default_rng(9))
+    S = X[np.random.default_rng(9).permutation(1500)[:1000]]
     if d <= 2:  # einsum adds the same terms in the same order
         assert got == float(np.median(pairwise_distances_einsum(S)))
-    pairs = np.sqrt(sq_dists_sequential(S, S)[np.triu_indices(120, 1)])
+    pairs = np.sqrt(sq_dists_sequential(S, S)[np.triu_indices(1000, 1)])
     assert got == float(np.median(pairs))
 
 
@@ -247,8 +247,6 @@ def test_median_heuristic_errors():
         median_heuristic(np.zeros((5, 2)))
     with pytest.raises(InputError):
         median_heuristic(np.array([1.0]))
-    with pytest.raises(InputError):
-        median_heuristic(np.array([0.0, 1.0]), subset_size=1)
 
 
 def test_radial_coordinate_bound():

@@ -13,6 +13,7 @@ from kquad.quadrature import (
     QuadratureRule,
     TargetMeasure,
     compress,
+    compress_grid,
     integrate,
     optimal_weights,
     target_moments,
@@ -146,6 +147,16 @@ def test_worst_case_error_negative_beyond_tolerance_raises(monkeypatch):
         worst_case_error(rule, target, gaussian(1.0))
 
 
+@pytest.mark.parametrize("seed", [0, 3, 5, 6])
+def test_exact_rule_with_large_kernel_values_is_not_a_numerical_failure(seed):
+    # k(x, x) = (1 + pi^2 / 3)^20 ~ 4e12: an m = n rule's E^2 rounds to about
+    # -2e-6, far inside float64 noise at T ~ 1.5e10
+    X = np.random.default_rng(0).random((300, 20))
+    kern = periodic_sobolev(1, 20)
+    T = target_self_product(kern, uniform_target(X))
+    assert compress(X, kern, "uniform", 300, seed).error <= 1e-6 * math.sqrt(T)
+
+
 def floor_case():
     """Gaussian sigma=2 on 2048 standard-normal 1-d points, 64 uniform nodes.
 
@@ -242,6 +253,62 @@ def test_error_is_nonnegative_and_invariant_under_permutation(
     # the moments and the m-term sums differ only in their rounding order
     allowed = 2 * (n + m) * rounding_unit(kern, rule, target)
     assert_same_squared_error(e, e_shuffled, allowed)
+
+
+def squared_error(kern, rule, target):
+    """E^2 as ``quadrature._error`` sums it, before the clamp and the root."""
+    w = rule.weights
+    v = target_moments(kern, rule.nodes, target)
+    T = target_self_product(kern, target)
+    return math.fsum([T, -2.0 * float(w @ v), float(w @ gram(kern, rule.nodes) @ w)])
+
+
+@pytest.mark.parametrize("pair", ["repeated rows", "split weight", "radial shift", "sobolev shift"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=CASES["seed"], n=st.integers(20, 400), d=CASES["d"], m=st.integers(1, 32),
+       optimal=st.booleans())
+def test_metamorphic_pairs_give_one_error(pair, seed, n, d, m, optimal):
+    """Two descriptions of one rule against one measure give the same E^2
+    within (n + m) rounding units, n and m the larger point and node counts:
+    integer masses c_i / sum(c) against row i repeated c_i times; a node's
+    weight split over a repeat of it; points and nodes shifted together by a
+    vector in [-4, 4]^d (Gaussian, Laplacian) or by 1/4, 1/2 or 1 per
+    coordinate (periodic Sobolev)."""
+    rng = np.random.default_rng(seed)
+    if pair == "sobolev shift":
+        n, d = min(n, 300), min(d, 2)
+        kern, X = periodic_sobolev(int(rng.integers(1, 4)), d), rng.random((n, d))
+    else:
+        kern = (laplacian if rng.random() < 0.5 else gaussian)(2.0 ** int(rng.integers(-2, 3)))
+        X = rng.standard_normal((n, d))
+    m = min(m, n)
+    nodes, target = X[rng.integers(0, n, size=m)], uniform_target(X)
+    if pair == "repeated rows":
+        counts = rng.integers(1, 5, size=n)
+        target = TargetMeasure.discrete(X, counts / counts.sum())
+    if optimal:
+        rule = optimal_weights(kern, nodes, target)
+    else:
+        rule = QuadratureRule(nodes=nodes, weights=rng.standard_normal(m))
+    if pair == "repeated rows":
+        other, other_target = rule, uniform_target(np.repeat(X, counts, axis=0))
+        size = int(counts.sum()) + m
+    elif pair == "split weight":
+        j, t = int(rng.integers(m)), rng.random()
+        weights = np.append(rule.weights, rule.weights[j] * (1.0 - t))
+        weights[j] *= t
+        other = QuadratureRule(nodes=np.vstack([nodes, nodes[j : j + 1]]), weights=weights)
+        other_target, size = target, n + m + 1
+    else:
+        if pair == "radial shift":
+            shift = rng.uniform(-4.0, 4.0, size=d)
+        else:
+            shift = rng.choice([0.25, 0.5, 1.0], size=d)
+        other = QuadratureRule(nodes=nodes + shift, weights=rule.weights)
+        other_target, size = uniform_target(X + shift), n + m
+    unit = max(rounding_unit(kern, rule, target), rounding_unit(kern, other, other_target))
+    gap = squared_error(kern, rule, target) - squared_error(kern, other, other_target)
+    assert abs(gap) <= size * unit
 
 
 @settings(max_examples=30, deadline=None)
@@ -381,7 +448,7 @@ def test_unit_cube_greedy_interpolates_the_target_embedding():
     n, m = 512, 24
     X = np.random.default_rng(3).random((n, 1))
     kern = periodic_sobolev(1, 1)
-    rule = compress(X, kern, "fp-greedy", m, target=TargetMeasure.unit_cube(1))
+    rule = next(compress_grid(X, kern, "fp-greedy", (m,), target=TargetMeasure.unit_cube(1)))
     # the unit cube's kernel mean is 1 at every point, not the data's K a
     expected = greedy_select(X, kern, np.ones(n), m, "f_over_P").selected
     assert np.array_equal(rule.indices, expected)

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from kquad import InputError, NumericalError
 from kquad.bench import gen_synthetic
-from kquad.kernels import gaussian, gram, parse_kernel
+from kquad.kernels import gaussian, gram, parse_kernel, periodic_sobolev
 from kquad.numerics import _pivoted_cholesky
 from kquad.sampling import (
     approx_rls_pilot,
@@ -235,6 +237,16 @@ def test_pilot_multiplicative_sanity():
         worst = max(worst, ratio)
     print(f"pilot multiplicative distortion across instances: {worst:.3f}")
     assert np.isfinite(worst) and worst <= 100.0
+
+
+def test_pilot_auto_lambda():
+    # lambda = 19 K^2 log(32 n / delta) / n with delta = 0.1, K = sup_x sqrt(k(x, x))
+    X = np.random.default_rng(6).random((10_000, 1))
+    lam = approx_rls_pilot(X, gaussian(1.0), rng=np.random.default_rng(0)).lam
+    assert abs(lam - 19 * math.log(3.2e6) / 1e4) < 1e-12
+    assert abs(lam - 0.02845) < 1e-4
+    sob = approx_rls_pilot(X, periodic_sobolev(1, 1), rng=np.random.default_rng(0)).lam
+    assert abs(sob - (1 + math.pi**2 / 3) * lam) < 1e-12
 
 
 def test_pilot_validation():

@@ -11,7 +11,6 @@ from kquad.spectral import (
     check_decay_bounds,
     effective_dimension,
     empirical_covariance_spectrum,
-    lambda_rule,
     rate_slope,
     theoretical_rate_curve,
 )
@@ -97,18 +96,6 @@ def test_decay_model_validation():
         DecayModel(kind="exponential", rate=-1.0, amplitude=1.0)
     with pytest.raises(InputError):
         DecayModel(kind="geometric", rate=0.5, amplitude=1.0)
-
-
-def test_lambda_rule_values():
-    assert abs(lambda_rule("uniform", 100, K=1.0, delta=0.1) - 12 * math.log(1000) / 100) < 1e-12
-    assert abs(lambda_rule("uniform", 100, K=1.0, delta=0.1) - 0.8289) < 1e-3
-    arls = lambda_rule("arls", 10_000, K=1.0, delta=0.1)
-    assert abs(arls - 19 * math.log(3.2e6) / 1e4) < 1e-12
-    assert abs(arls - 0.02845) < 1e-4
-    ms = [lambda_rule("uniform", m) for m in (50, 100, 400, 1600)]
-    assert all(b < a for a, b in zip(ms, ms[1:]))
-    with pytest.raises(InputError):
-        lambda_rule("dpp", 100)
 
 
 def test_rate_curve_sobolev_ratio():
