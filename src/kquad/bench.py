@@ -4,10 +4,10 @@ A sweep runs one cell per (method, trial), one after another; ``workers`` is
 accepted (>= 1) but selects nothing.  A cell builds the method's rule at every
 m of the grid through ``quadrature.compress_grid``, which gives each rule its
 exact worst-case error against the configured target.  The run computes the
-target's kernel mean at every data point once, and every rule's moments and
-the f and f/P greedy criteria come from it: with ``target = data`` that is one
-Theta(n^2) pass, which also gives the error's self-product, and with
-``target = unit-cube`` it is the constant 1.  The work that does not depend on
+target's embedding once, ``quadrature.target_embedding``: its kernel mean at
+every data point, which gives every rule's moments and the f and f/P greedy
+criteria, and its self-product (one Theta(n^2) pass for ``target = data``,
+the constants 1 for ``target = unit-cube``).  The work that does not depend on
 m is done once per cell: arls draws its pilot leverage scores from a score
 stream keyed by (master_seed, method, trial), then draws each m's nodes from a
 draw stream keyed by (master_seed, method, m, trial); uniform, uniform-wr and
@@ -28,14 +28,14 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import _as_points, parse_kernel
 from .quadrature import (
-    GREEDY, METHODS, QuadratureRule, TargetMeasure, compress_grid, target_moments
+    GREEDY, METHODS, QuadratureRule, TargetMeasure, compress_grid, target_embedding
 )
 from .specs import parse_spec
 
@@ -64,13 +64,13 @@ class Dataset:
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = ""  # uniform_cube:d=..., gaussian_mixture:d=..,k=..,sep=.., csv:path=...
-    kernel: str = "gaussian:sigma=median"
-    methods: tuple = ("uniform",)
-    m_grid: tuple = (16,)
-    trials: int = 1
-    master_seed: int = 0
-    output: str = "results.csv"
+    dataset: str  # uniform_cube:d=..., gaussian_mixture:d=..,k=..,sep=.., csv:path=...
+    kernel: str
+    methods: tuple
+    m_grid: tuple
+    trials: int
+    master_seed: int
+    output: str
     n: int | None = None  # synthetic dataset size
     data_seed: int | None = None  # None -> derived from master_seed
     standardize: bool = False
@@ -177,7 +177,7 @@ def _write_rows(path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def load_csv(path, standardize: bool = False) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read a numeric CSV into a Dataset.
 
     A non-numeric first row is treated as a header and skipped.  Ragged rows
@@ -194,8 +194,6 @@ def load_csv(path, standardize: bool = False) -> Dataset:
     points = np.asarray([_float_row(path, i, cells, len(rows[0][1])) for i, cells in rows])
     if not np.all(np.isfinite(points)):
         raise InputError(f"{path}: non-finite values")
-    if standardize:
-        points = standardize_points(points)
     return Dataset(points=points)
 
 
@@ -271,13 +269,15 @@ def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     if kind == "csv":
         if not params.get("path"):
             raise InputError("csv dataset needs path=<file>")
-        return load_csv(params["path"], standardize=config.standardize)
-    if config.n is None:
-        raise InputError("synthetic datasets need n")
-    seed = config.data_seed
-    if seed is None:
-        seed = int(derive_rng(config.master_seed, _DATA_STREAM).integers(2**63))
-    ds = gen_synthetic(config.dataset, config.n, seed)
+        ds = load_csv(params["path"])
+    else:
+        if config.n is None or config.n < 1:
+            raise InputError(f"synthetic datasets need n >= 1, got {config.n}")
+        _validate(config, config.n)  # before any of the n points is drawn
+        seed = config.data_seed
+        if seed is None:
+            seed = int(derive_rng(config.master_seed, _DATA_STREAM).integers(2**63))
+        ds = gen_synthetic(config.dataset, config.n, seed)
     if config.standardize:
         ds.points = standardize_points(ds.points)
     return ds
@@ -325,10 +325,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     kernel = parse_kernel(
         config.kernel, points=points, rng=derive_rng(config.master_seed, _BANDWIDTH_STREAM)
     )
-    # None is the discrete measure on the points, whose self-product comes
-    # from the same kernel mean as every rule's moments
-    target = TargetMeasure.unit_cube(points.shape[1]) if config.target == "unit-cube" else None
-    kme = target_moments(kernel, points, target or TargetMeasure.discrete(points))
+    cube = config.target == "unit-cube"
+    target = TargetMeasure.unit_cube(points.shape[1]) if cube else TargetMeasure.discrete(points)
+    embedding = target_embedding(kernel, points, target)
 
     rows = []
     for method in config.methods:
@@ -341,8 +340,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 method,
                 grid,
                 derive_rng(config.master_seed, mid, *tkey),  # score stream
-                target,
-                kme,
+                embedding,
                 draw_rng=lambda m: derive_rng(config.master_seed, mid, m, *tkey),
             )
             for m in grid:
@@ -484,9 +482,7 @@ def parse_config(path) -> ExperimentConfig:
                 values[key] = kind(value)
         except (ValueError, KeyError) as exc:
             raise InputError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    missing = {"dataset", "kernel", "methods", "m_grid", "trials", "master_seed", "output"} - set(
-        values
-    )
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(values)
     if missing:
         raise InputError(f"{path}: missing required keys {sorted(missing)}")
     return ExperimentConfig(**values)

@@ -70,7 +70,9 @@ def _cmd_compress(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     _check_output(args.output)
-    points = bench.load_csv(args.input, standardize=args.standardize).points
+    points = bench.load_csv(args.input).points
+    if args.standardize:
+        points = bench.standardize_points(points)
     kernel = parse_kernel(args.kernel, points=points, rng=np.random.default_rng(args.seed))
     rule = compress(points, kernel, args.method, args.m, args.seed)
     bench.save_rule(rule, args.output)

@@ -92,6 +92,12 @@ class KernelSpec:
                 raise InputError(f"sobolev order must be one of {SUPPORTED_ORDERS}")
             if self.dim < 1:
                 raise InputError("sobolev dimension must be >= 1")
+            try:  # the diagonal k(x, x) = (1 + 2 zeta(2s))^d bounds every |k(x, y)|
+                sup_norm_bound(self)
+            except OverflowError:
+                raise InputError(
+                    f"sobolev kernel s={self.order}, d={self.dim}: its diagonal overflows a float"
+                ) from None
 
 
 def gaussian(bandwidth: float) -> KernelSpec:

@@ -141,11 +141,27 @@ def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarr
 
 def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
     """Double integral of the kernel against the target: int int k d(rho x rho),
-    for a discrete target fsum(masses * moments of its points), as in compress_grid."""
+    for a discrete target the self-product of ``target_embedding`` on its points."""
     if not target.is_discrete:
         _check_analytic(kernel, target)
         return 1.0
-    return math.fsum(target.masses * target_moments(kernel, target.points, target))
+    return target_embedding(kernel, target.points, target)[1]
+
+
+def target_embedding(kernel: KernelSpec, X, target=None) -> tuple[np.ndarray, float]:
+    """(kme, T): the target's kernel mean at every row of X and its self-product.
+
+    ``target=None`` is the uniform discrete measure on X.  A discrete target
+    whose points are X takes T = fsum(masses * kme) from the same Theta(n^2)
+    pass; any other target takes T from ``target_self_product``.
+    """
+    P = _as_points(X)
+    if target is None:
+        target = TargetMeasure.discrete(P)
+    kme = target_moments(kernel, P, target)
+    if target.is_discrete and np.array_equal(target.points, P):
+        return kme, math.fsum(target.masses * kme)
+    return kme, target_self_product(kernel, target)
 
 
 def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> QuadratureRule:
@@ -172,14 +188,12 @@ def integrate(rule: QuadratureRule, f_at_nodes) -> float:
 def worst_case_error(rule: QuadratureRule, target: TargetMeasure, kernel: KernelSpec) -> float:
     """Exact worst-case integration error over the RKHS unit ball.
 
-    A fresh evaluation of the target's self-product (Theta(n^2) kernel
-    evaluations for a discrete target), the moments of the rule's nodes and
-    their Gram.  Rules built by ``compress`` carry this error as
-    ``rule.error`` already.
+    A fresh evaluation of the target's embedding at the rule's nodes
+    (Theta(n^2) kernel evaluations for a discrete target) and of their Gram.
+    Rules built by ``compress`` carry this error as ``rule.error`` already.
     """
-    N = rule.nodes
-    T = target_self_product(kernel, target)
-    return _error(T, rule.weights, target_moments(kernel, N, target), gram(kernel, N))
+    v, T = target_embedding(kernel, rule.nodes, target)
+    return _error(T, rule.weights, v, gram(kernel, rule.nodes))
 
 
 def _error(T: float, w: np.ndarray, v: np.ndarray, Km: np.ndarray) -> float:
@@ -208,30 +222,24 @@ def compress_grid(
     method: str,
     ms,
     rng=0,
-    target: TargetMeasure | None = None,
-    kme=None,
+    embedding: tuple[np.ndarray, float] | None = None,
     draw_rng=None,
 ) -> Iterator[QuadratureRule]:
     """Compress the measure on X into a rule at each m of ``ms``, in order.
 
     ``method`` is a spec of METHODS.  ``monte-carlo`` draws m data points
     uniformly with replacement and weights them 1/m.  Every other method
-    picks m data points and solves for the optimal weights against
-    ``target`` (default: the uniform discrete measure on X): ``uniform`` and
-    ``uniform-wr`` draw them uniformly without or with replacement,
-    ``arls:lambda=<float|auto>,pilot=<int|auto>`` in proportion to
-    approximate ridge leverage scores, and the greedy methods select them by
-    their ``greedy_select`` criterion.  ``rng`` is a Generator or a seed.
-    Each rule carries its worst-case ``error`` against the target and the
-    wall times of the two phases.
+    picks m data points and solves for the optimal weights against the
+    target: ``uniform`` and ``uniform-wr`` draw them uniformly without or
+    with replacement, ``arls:lambda=<float|auto>,pilot=<int|auto>`` in
+    proportion to approximate ridge leverage scores, and the greedy methods
+    select them by their ``greedy_select`` criterion.  ``rng`` is a Generator
+    or a seed.  Each rule carries its worst-case ``error`` against the target
+    and the wall times of the two phases.
 
-    ``kme`` is the target's kernel mean at every point of X,
-    ``target_moments(kernel, X, target)``, computed here once unless given: a
-    rule's moments are ``kme[indices]``, and the f and f/P greedy criteria
-    interpolate it.  For the default target, the discrete measure on X with
-    masses a = 1/n, the self-product is ``a . kme``; an explicit target takes
-    it from ``target_self_product``.  A rule's node Gram is dropped once its
-    error is computed.
+    ``embedding`` is the target's ``target_embedding(kernel, X, target)``, by
+    default that of the uniform discrete measure on X.  A rule's node Gram is
+    dropped once its error is computed.
 
     The work that does not depend on m is done once: the arls pilot scores
     are drawn from ``rng``, and a greedy method runs once at max(ms), the
@@ -251,15 +259,10 @@ def compress_grid(
         return
     P = _as_points(X)
     rng = np.random.default_rng(rng)
-    if kme is None:
-        kme = target_moments(kernel, P, target or TargetMeasure.discrete(P))
+    kme, T = target_embedding(kernel, P) if embedding is None else embedding
     kme = np.asarray(kme, dtype=np.float64).ravel()
     if kme.shape[0] != P.shape[0]:
         raise InputError(f"expected {P.shape[0]} kernel-mean values, got {kme.shape[0]}")
-    if target is None:
-        T = math.fsum(TargetMeasure.discrete(P).masses * kme)
-    else:
-        T = target_self_product(kernel, target)
 
     t0 = time.perf_counter()
     if head in GREEDY:

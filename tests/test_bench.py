@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from kquad import InputError
+from kquad import InputError, bench
 from kquad.bench import (
     ExperimentConfig,
     SUMMARY_HEADER,
@@ -60,8 +60,8 @@ def small_config(**overrides):
 def test_load_csv_standardized(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("0\n2\n", encoding="utf-8")
-    ds = load_csv(path, standardize=True)
-    assert np.allclose(ds.points.ravel(), [-1.0, 1.0])
+    points = standardize_points(load_csv(path).points)
+    assert np.allclose(points.ravel(), [-1.0, 1.0])
 
 
 def test_load_csv_header_detection(tmp_path):
@@ -338,6 +338,19 @@ def test_large_n_cap_on_quadratic_error():
     assert len(run_experiment(cube).rows) == 1
 
 
+def test_synthetic_config_is_checked_before_the_points_are_drawn(monkeypatch):
+    def never(*args):
+        raise AssertionError("points drawn before the config was checked")
+
+    monkeypatch.setattr(bench, "gen_synthetic", never)
+    with pytest.raises(InputError, match="allow_large_n"):
+        run_experiment(small_config(n=2**14 + 1))
+    with pytest.raises(InputError, match="largest m 16 exceeds dataset size 8"):
+        run_experiment(small_config(n=8))
+    with pytest.raises(InputError, match="need n >= 1, got 0"):
+        run_experiment(small_config(n=0))
+
+
 def test_unit_cube_target_requires_sobolev():
     cfg = small_config(dataset="uniform_cube:d=1", kernel="gaussian:sigma=0.5", target="unit-cube")
     with pytest.raises(InputError):
@@ -520,7 +533,8 @@ def test_parse_config_errors(tmp_path):
     with pytest.raises(InputError, match="bad value"):
         parse_config(bad)
     bad.write_text("dataset = uniform_cube:d=1\n", encoding="utf-8")
-    with pytest.raises(InputError, match="missing required"):
+    missing = "missing required keys ['kernel', 'm_grid', 'master_seed', 'methods', 'output', 'trials']"
+    with pytest.raises(InputError, match=re.escape(missing)):
         parse_config(bad)
     bad.write_text("dataset = uniform_cube:d=1\ntrials = 1\n\nTrials = 3\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"bad\.cfg:4: repeated key 'trials'"):

@@ -506,6 +506,27 @@ def test_compress_radial_kernel_coordinate_bound(tmp_path, capsys, kernel, code)
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["arls", "uniform"])
+def test_compress_overflowing_sobolev_diagonal_exit_code(tmp_path, capsys, method):
+    # (1 + pi^2 / 3)^500 overflows a float: the kernel is refused before any evaluation
+    path = tmp_path / "u500.csv"
+    np.savetxt(path, np.random.default_rng(0).random((50, 500)), delimiter=",")
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", "sobolev:s=1,d=500",
+        "--method", method,
+        "--m", "10",
+        "--seed", "1",
+        "--output", str(tmp_path / "r.csv"),
+    ]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sobolev kernel s=1, d=500: its diagonal overflows")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
 def test_compress_standardize_huge_coordinates(tmp_path, capsys):
     # standardizing divides by the std, whose unscaled squares of 1e300 overflow
     path = tmp_path / "huge.csv"
@@ -523,7 +544,8 @@ def test_compress_standardize_huge_coordinates(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert "RuntimeWarning" not in capsys.readouterr().err
     nodes = load_rule(tmp_path / "r.csv").nodes
-    assert np.array_equal(np.sort(nodes, axis=0), np.sort(load_csv(path, True).points, axis=0))
+    standardized = bench.standardize_points(load_csv(path).points)
+    assert np.array_equal(np.sort(nodes, axis=0), np.sort(standardized, axis=0))
     assert np.allclose(np.sort(nodes[:, 0])[[0, -1]], [-np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-15)
 
 

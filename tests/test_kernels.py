@@ -215,6 +215,13 @@ def test_sup_norm_bound_values():
     assert abs(sup_norm_bound(periodic_sobolev(1, 2)) - (1 + math.pi**2 / 3)) < 1e-12
 
 
+@pytest.mark.parametrize("order, largest", [(1, 487), (2, 616), (3, 639)])
+def test_sobolev_diagonal_must_be_a_finite_float(order, largest):
+    assert math.isfinite(sup_norm_bound(periodic_sobolev(order, largest)))
+    with pytest.raises(InputError, match=f"s={order}, d={largest + 1}: its diagonal"):
+        periodic_sobolev(order, largest + 1)
+
+
 def test_median_heuristic_small_cases():
     assert median_heuristic(np.array([0.0, 1.0])) == 1.0
     # pairwise distances of {0, 1, 3} are {1, 2, 3}

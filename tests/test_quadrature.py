@@ -16,6 +16,7 @@ from kquad.quadrature import (
     compress_grid,
     integrate,
     optimal_weights,
+    target_embedding,
     target_moments,
     target_self_product,
     worst_case_error,
@@ -444,11 +445,39 @@ def test_discrete_target_moments_and_self_product_are_the_kernel_matvec():
     assert target_self_product(kern, target) == math.fsum(masses * kme)
 
 
+def test_discrete_target_on_the_data_takes_one_kernel_mean_pass(monkeypatch):
+    n, m = 300, 12
+    X = np.random.default_rng(5).standard_normal((n, 2))
+    kern = laplacian(0.8)
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return kernels._kernel_matvec(*args)
+
+    monkeypatch.setattr(quadrature, "_kernel_matvec", counted)
+    embedding = target_embedding(kern, X, TargetMeasure.discrete(X, np.full(n, 1.0 / n)))
+    rule = next(compress_grid(X, kern, "uniform", (m,), 0, embedding))
+    assert len(passes) == 1
+    assert rule.error == next(compress_grid(X, kern, "uniform", (m,), 0)).error
+    assert len(passes) == 2
+
+
+def test_target_embedding_on_other_points_is_moments_and_self_product():
+    rng = np.random.default_rng(6)
+    X, Y = rng.standard_normal((40, 2)), rng.standard_normal((70, 2))
+    kern, target = gaussian(0.7), TargetMeasure.discrete(Y, rng.dirichlet(np.ones(70)))
+    kme, T = target_embedding(kern, X, target)
+    assert np.array_equal(kme, target_moments(kern, X, target))
+    assert T == target_self_product(kern, target)
+
+
 def test_unit_cube_greedy_interpolates_the_target_embedding():
     n, m = 512, 24
     X = np.random.default_rng(3).random((n, 1))
     kern = periodic_sobolev(1, 1)
-    rule = next(compress_grid(X, kern, "fp-greedy", (m,), target=TargetMeasure.unit_cube(1)))
+    embedding = target_embedding(kern, X, TargetMeasure.unit_cube(1))
+    rule = next(compress_grid(X, kern, "fp-greedy", (m,), embedding=embedding))
     # the unit cube's kernel mean is 1 at every point, not the data's K a
     expected = greedy_select(X, kern, np.ones(n), m, "f_over_P").selected
     assert np.array_equal(rule.indices, expected)
