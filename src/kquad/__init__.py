@@ -10,7 +10,6 @@ from .kernels import (
     median_heuristic,
     parse_kernel,
     periodic_sobolev,
-    sup_norm_bound,
 )
 from .numerics import pinv_apply
 from .sampling import (
@@ -67,7 +66,6 @@ __all__ = [
     "median_heuristic",
     "parse_kernel",
     "periodic_sobolev",
-    "sup_norm_bound",
     "pinv_apply",
     "LeverageScores",
     "approx_rls_pilot",

@@ -326,7 +326,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.kernel, points=points, rng=derive_rng(config.master_seed, _BANDWIDTH_STREAM)
     )
     cube = config.target == "unit-cube"
-    target = TargetMeasure.unit_cube(points.shape[1]) if cube else TargetMeasure.discrete(points)
+    target = TargetMeasure.unit_cube() if cube else TargetMeasure.discrete(points)
     embedding = target_embedding(kernel, points, target)
 
     rows = []

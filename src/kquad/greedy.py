@@ -19,12 +19,13 @@ product reads the leading k columns in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .kernels import KernelSpec, _as_points, _fill, diagonal
+from .kernels import KernelSpec, _as_points, _fill
 
 VARIANTS = ("f", "P", "f_over_P")
 
@@ -73,9 +74,12 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
         if f.shape[0] != n:
             raise InputError(f"expected {n} function values, got {f.shape[0]}")
 
+    # f is carried in units of 2^e, e the binary exponent of max|f|: both
+    # scalings are exact, and f/P squares residuals of order one, not of f's
+    e = math.frexp(float(np.max(np.abs(f))))[1]
     coeffs = np.zeros((n, m))  # coeffs[i, k] = <u_k, phi(x_i)>
-    powfun2 = diagonal(kernel, P)
-    residual = f.copy()
+    powfun2 = np.full(n, kernel.diag)
+    residual = np.ldexp(f, -e)
     f_coeffs = np.zeros(m)
     selected: list[int] = []
     in_span = np.zeros(n, dtype=bool)
@@ -110,8 +114,8 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
     return GreedyState(
         selected=np.asarray(selected, dtype=np.intp),
         coeffs=coeffs[:, :t].T,
-        residual=residual,
+        residual=np.ldexp(residual, e),
         powfun2=powfun2,
-        f_coeffs=f_coeffs[:t],
+        f_coeffs=np.ldexp(f_coeffs[:t], e),
     )
 

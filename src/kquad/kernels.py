@@ -46,9 +46,6 @@ from .specs import optional, parse_spec
 
 SUPPORTED_ORDERS = (1, 2, 3)
 
-# zeta(2s) for the supported orders; k_s(x, x) = 1 + 2 zeta(2s) per coordinate.
-_ZETA_EVEN = {1: math.pi**2 / 6.0, 2: math.pi**4 / 90.0, 3: math.pi**6 / 945.0}
-
 # Side of the square tiles of the kernel matvec: a row's sum over a tile is one
 # BLAS dot product, so the tile shape fixes the bits of K b.
 _TILE = 1024
@@ -92,12 +89,25 @@ class KernelSpec:
                 raise InputError(f"sobolev order must be one of {SUPPORTED_ORDERS}")
             if self.dim < 1:
                 raise InputError("sobolev dimension must be >= 1")
-            try:  # the diagonal k(x, x) = (1 + 2 zeta(2s))^d bounds every |k(x, y)|
-                sup_norm_bound(self)
-            except OverflowError:
+            if not math.isfinite(self.diag):  # k(x, x) bounds every |k(x, y)|
                 raise InputError(
                     f"sobolev kernel s={self.order}, d={self.dim}: its diagonal overflows a float"
-                ) from None
+                )
+
+    @property
+    def diag(self) -> float:
+        """k(x, x), the same at every x: 1 for gaussian and laplacian, and for
+        sobolev the product of its d per-coordinate factors at t = 0, taken in
+        ``_pairwise_block``'s order, so every diagonal entry of ``gram`` equals it
+        bit for bit.  It is (1 + 2 zeta(2s))^d up to rounding."""
+        if self.family != "sobolev":
+            return 1.0
+        t, w, z = np.zeros((3, 1))
+        _sobolev_factor(self.order, t, w, z)
+        factor = value = float(t[0])
+        for _ in range(self.dim - 1):
+            value *= factor
+        return value
 
 
 def gaussian(bandwidth: float) -> KernelSpec:
@@ -235,21 +245,6 @@ def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
             K = _fill(kernel, Ai, Bj, buf[: len(Ai) * len(Bj)].reshape(len(Ai), len(Bj)))
             v[i0 : i0 + _TILE] += matvec(K, b[j0 : j0 + _TILE])
     return v
-
-
-def diagonal(kernel: KernelSpec, X) -> np.ndarray:
-    """Vector of k(x, x) for each row of X."""
-    A = _as_points(X, kernel)
-    if kernel.family == "sobolev":  # k(x, x) = k(0, 0), by the pairwise path
-        return np.full(A.shape[0], evaluate(kernel, np.zeros(kernel.dim), np.zeros(kernel.dim)))
-    return np.ones(A.shape[0])
-
-
-def sup_norm_bound(kernel: KernelSpec) -> float:
-    """Uniform bound K on the feature norm, sup_x sqrt(k(x, x))."""
-    if kernel.family in ("gaussian", "laplacian"):
-        return 1.0
-    return math.sqrt((1.0 + 2.0 * _ZETA_EVEN[kernel.order]) ** kernel.dim)
 
 
 def median_heuristic(X, rng: np.random.Generator | None = None) -> float:

@@ -80,12 +80,12 @@ class TargetMeasure:
     """Integration target: discrete (points + masses) or uniform unit cube.
 
     The unit-cube variant is usable only with periodic Sobolev kernels, whose
-    uniform-measure moments are available analytically.
+    uniform-measure moments are available analytically: it is the uniform
+    measure on the torus [0, 1)^d of the kernel it is used with.
     """
 
     points: np.ndarray | None = None
     masses: np.ndarray | None = None
-    cube_dim: int | None = None
 
     @staticmethod
     def discrete(points, masses=None) -> "TargetMeasure":
@@ -103,25 +103,17 @@ class TargetMeasure:
         return TargetMeasure(points=P, masses=w)
 
     @staticmethod
-    def unit_cube(dim: int) -> "TargetMeasure":
-        if dim < 1:
-            raise InputError("cube dimension must be >= 1")
-        return TargetMeasure(cube_dim=int(dim))
+    def unit_cube() -> "TargetMeasure":
+        return TargetMeasure()
 
     @property
     def is_discrete(self) -> bool:
         return self.points is not None
 
 
-def _check_analytic(kernel: KernelSpec, target: TargetMeasure, dim: int | None = None):
+def _check_analytic(kernel: KernelSpec):
     if kernel.family != "sobolev":
         raise InputError("the unit-cube target has analytic moments only for sobolev kernels")
-    if dim is not None and dim != target.cube_dim:
-        raise InputError(
-            f"node dimension {dim} does not match cube dimension {target.cube_dim}"
-        )
-    if kernel.dim != target.cube_dim:
-        raise InputError("kernel and cube dimensions differ")
 
 
 def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarray:
@@ -132,9 +124,9 @@ def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarr
     materialized; the target's own points take the same pass.  The unit-cube
     target gives the constant vector 1.
     """
-    N = _as_points(nodes)
+    N = _as_points(nodes, kernel)
     if not target.is_discrete:
-        _check_analytic(kernel, target, dim=N.shape[1])
+        _check_analytic(kernel)
         return np.ones(N.shape[0])
     return _kernel_matvec(kernel, N, target.points, target.masses)
 
@@ -143,7 +135,7 @@ def target_self_product(kernel: KernelSpec, target: TargetMeasure) -> float:
     """Double integral of the kernel against the target: int int k d(rho x rho),
     for a discrete target the self-product of ``target_embedding`` on its points."""
     if not target.is_discrete:
-        _check_analytic(kernel, target)
+        _check_analytic(kernel)
         return 1.0
     return target_embedding(kernel, target.points, target)[1]
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, _as_points, gram, sup_norm_bound
+from .kernels import KernelSpec, _as_points, gram
 from .numerics import _pivoted_cholesky, matvec, syrk
 
 
@@ -88,14 +88,18 @@ def approx_rls_pilot(
     its first r pivots, r the numerical rank, are the landmarks S, with
     K_S = L L^T from the factor's leading r x r block.  Every point maps to
     b_i = L^(-1) k_S(x_i) and scores b_i^T (B B^T + lambda n I)^(-1) b_i.
-    Cost O(n r^2 + p^3).  ``lam=None`` selects lambda = 19 K^2 log(32 n /
+    Cost O(n r^2 + p^3).  ``lam=None`` selects lambda = 19 k(x, x) log(32 n /
     delta) / n with delta = 0.1, and ``pilot_size=None`` p = ceil(4 sqrt(n)).
     """
     P = _as_points(X)
     n = P.shape[0]
     if lam is None:
-        K = sup_norm_bound(kernel)
-        lam = 19.0 * K * K * math.log(32.0 * n / 0.1) / n
+        lam = 19.0 * kernel.diag * math.log(32.0 * n / 0.1) / n
+        if not math.isfinite(lam * n):  # only a sobolev diagonal is this large
+            raise InputError(
+                f"lambda=auto overflows under the sobolev kernel s={kernel.order}, "
+                f"d={kernel.dim}, whose k(x, x) is {kernel.diag:.6g}; give an explicit lambda"
+            )
     if pilot_size is None:
         pilot_size = min(n, int(math.ceil(4.0 * math.sqrt(n))))
     if not 0 < lam < math.inf:

@@ -527,6 +527,44 @@ def test_compress_overflowing_sobolev_diagonal_exit_code(tmp_path, capsys, metho
 
 
 @pytest.mark.filterwarnings("error")
+def test_compress_fp_greedy_under_a_large_sobolev_diagonal(tmp_path, capsys):
+    # k(x, x) = (1 + pi^2 / 3)^300 ~ 1e190: f/P must not square a kernel mean that large
+    path = tmp_path / "u300.csv"
+    np.savetxt(path, np.random.default_rng(0).random((50, 300)), delimiter=",")
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", "sobolev:s=1,d=300",
+        "--method", "fp-greedy",
+        "--m", "10",
+        "--seed", "1",
+        "--output", str(tmp_path / "r.csv"),
+    ]
+    assert cli.main(argv) == 0
+    assert "wrote 10 nodes" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+def test_compress_overflowing_auto_lambda_exit_code(tmp_path, capsys):
+    # the largest accepted d: 19 k(x, x) overflows, and the error names lambda=auto
+    path = tmp_path / "u487.csv"
+    np.savetxt(path, np.random.default_rng(0).random((50, 487)), delimiter=",")
+    argv = [
+        "compress",
+        "--input", str(path),
+        "--kernel", "sobolev:s=1,d=487",
+        "--method", "arls",
+        "--m", "10",
+        "--seed", "1",
+        "--output", str(tmp_path / "r.csv"),
+    ]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda=auto overflows under the sobolev kernel s=1, d=487")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
 def test_compress_standardize_huge_coordinates(tmp_path, capsys):
     # standardizing divides by the std, whose unscaled squares of 1e300 overflow
     path = tmp_path / "huge.csv"

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kquad import InputError
 from kquad.bench import gen_synthetic
@@ -163,6 +165,26 @@ def test_in_span_candidates_get_exact_zero_coefficients():
             assert np.all(state.coeffs[k, in_span] == 0.0)
             checked += int(in_span.sum())
     assert checked > 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    k=st.integers(-40, 40),
+    kern=st.sampled_from([gaussian(0.5), laplacian(0.7), periodic_sobolev(1, 2)]),
+)
+def test_power_of_two_scaling_of_f_is_exact(variant, seed, n, k, kern):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, 2))
+    f = rng.standard_normal(n)
+    m = int(rng.integers(1, n + 1))
+    base = greedy_select(X, kern, f, m, variant)
+    scaled = greedy_select(X, kern, f * 2.0**k, m, variant)
+    assert np.array_equal(scaled.selected, base.selected)
+    assert np.array_equal(scaled.residual, base.residual * 2.0**k)
+    assert np.array_equal(scaled.f_coeffs, base.f_coeffs * 2.0**k)
 
 
 def test_points_are_checked_against_the_kernel():

@@ -17,7 +17,6 @@ from kquad.kernels import (
     median_heuristic,
     parse_kernel,
     periodic_sobolev,
-    sup_norm_bound,
 )
 
 from oracles import (
@@ -201,23 +200,38 @@ def test_diagonal_matches_eval():
     rng = np.random.default_rng(7)
     X = rng.random((10, 2))
     for kern in (gaussian(1.0), periodic_sobolev(3, 2)):
-        d = kernels.diagonal(kern, X)
-        assert all(d[i] == evaluate(kern, X[i], X[i]) for i in range(10))
+        assert all(kern.diag == evaluate(kern, X[i], X[i]) for i in range(10))
 
 
-def test_sup_norm_bound_values():
-    assert sup_norm_bound(gaussian(2.0)) == 1.0
-    assert sup_norm_bound(laplacian(2.0)) == 1.0
-    # zeta(2) by direct series summation
+@pytest.mark.parametrize(
+    "spec",
+    ["gaussian:sigma=0.8", "laplacian:sigma=1.3"]
+    + [
+        f"sobolev:s={s},d={d}"
+        for s, largest in ((1, 487), (2, 616), (3, 639))
+        for d in (1, 2, 7, largest)
+    ],
+)
+def test_diag_is_the_gram_diagonal(spec):
+    kern = parse_kernel(spec)
+    X = np.random.default_rng(5).random((6, kern.dim if kern.family == "sobolev" else 3))
+    assert np.array_equal(gram(kern, X).diagonal(), np.full(6, kern.diag))
+
+
+def test_diag_values():
+    assert gaussian(2.0).diag == 1.0
+    assert laplacian(2.0).diag == 1.0
+    # zeta(2) by direct series summation; sqrt(k(x, x)) bounds the feature norm
     z2 = zeta_series(2, terms=10**6)
-    assert abs(sup_norm_bound(periodic_sobolev(1, 1)) - math.sqrt(1 + 2 * z2)) < 1e-6
-    assert abs(sup_norm_bound(periodic_sobolev(1, 1)) - math.sqrt(1 + math.pi**2 / 3)) < 1e-12
-    assert abs(sup_norm_bound(periodic_sobolev(1, 2)) - (1 + math.pi**2 / 3)) < 1e-12
+    kappa_1, kappa_2 = (math.sqrt(periodic_sobolev(1, d).diag) for d in (1, 2))
+    assert abs(kappa_1 - math.sqrt(1 + 2 * z2)) < 1e-6
+    assert abs(kappa_1 - math.sqrt(1 + math.pi**2 / 3)) < 1e-12
+    assert abs(kappa_2 - (1 + math.pi**2 / 3)) < 1e-12
 
 
 @pytest.mark.parametrize("order, largest", [(1, 487), (2, 616), (3, 639)])
 def test_sobolev_diagonal_must_be_a_finite_float(order, largest):
-    assert math.isfinite(sup_norm_bound(periodic_sobolev(order, largest)))
+    assert math.isfinite(periodic_sobolev(order, largest).diag)
     with pytest.raises(InputError, match=f"s={order}, d={largest + 1}: its diagonal"):
         periodic_sobolev(order, largest + 1)
 

@@ -44,9 +44,7 @@ def test_target_measure_validation():
         TargetMeasure.discrete(np.zeros((3, 1)), masses=[np.nan, 0.5, 0.5])
     with pytest.raises(InputError):
         TargetMeasure.discrete([[0.0], [np.nan]])
-    with pytest.raises(InputError):
-        TargetMeasure.unit_cube(0)
-    cube = TargetMeasure.unit_cube(2)
+    cube = TargetMeasure.unit_cube()
     with pytest.raises(InputError):
         target_self_product(gaussian(1.0), cube)  # analytic moments need sobolev
     with pytest.raises(InputError):
@@ -54,7 +52,7 @@ def test_target_measure_validation():
 
 
 def test_unit_cube_moments_are_one():
-    cube = TargetMeasure.unit_cube(2)
+    cube = TargetMeasure.unit_cube()
     kern = periodic_sobolev(1, 2)
     nodes = np.random.default_rng(0).random((5, 2))
     assert np.array_equal(target_moments(kern, nodes, cube), np.ones(5))
@@ -131,7 +129,7 @@ def test_worst_case_error_of_target_itself():
 
 
 def test_worst_case_error_zero_weights_unit_cube():
-    cube = TargetMeasure.unit_cube(1)
+    cube = TargetMeasure.unit_cube()
     kern = periodic_sobolev(1, 1)
     rule = QuadratureRule(nodes=np.array([[0.2], [0.8]]), weights=[0.0, 0.0])
     assert abs(worst_case_error(rule, cube, kern) - 1.0) < 1e-12
@@ -366,7 +364,7 @@ def test_gathered_moments_equal_target_moments(seed, n, d, log2_sigma, laplace, 
         masses = rng.random(n) + 0.1
         target = TargetMeasure.discrete(rng.standard_normal((n, d)), masses / masses.sum())
     else:
-        kern, target = periodic_sobolev(1, d), TargetMeasure.unit_cube(d)
+        kern, target = periodic_sobolev(1, d), TargetMeasure.unit_cube()
     kme = target_moments(kern, X, target)
     idx = rng.integers(0, n, size=k)  # duplicates included
     v = target_moments(kern, X[idx], target)
@@ -476,7 +474,7 @@ def test_unit_cube_greedy_interpolates_the_target_embedding():
     n, m = 512, 24
     X = np.random.default_rng(3).random((n, 1))
     kern = periodic_sobolev(1, 1)
-    embedding = target_embedding(kern, X, TargetMeasure.unit_cube(1))
+    embedding = target_embedding(kern, X, TargetMeasure.unit_cube())
     rule = next(compress_grid(X, kern, "fp-greedy", (m,), embedding=embedding))
     # the unit cube's kernel mean is 1 at every point, not the data's K a
     expected = greedy_select(X, kern, np.ones(n), m, "f_over_P").selected
@@ -516,7 +514,7 @@ def test_witness_zero_gap():
 def test_witness_needs_discrete_target():
     rule = QuadratureRule(nodes=np.array([[0.5]]), weights=[1.0])
     with pytest.raises(InputError):
-        worst_case_witness(rule, TargetMeasure.unit_cube(1), periodic_sobolev(1, 1))
+        worst_case_witness(rule, TargetMeasure.unit_cube(), periodic_sobolev(1, 1))
 
 
 def test_weight_optimality_under_perturbations():
