@@ -246,7 +246,7 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
 
     ``uniform_cube:d=<int>`` draws n points uniformly from [0, 1)^d;
     ``gaussian_mixture:d=<int>,k=<int>,sep=<float>`` draws from k unit-variance
-    components with centers ``sep`` apart.
+    components with centers ``sep`` apart, which needs k <= n.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -254,10 +254,12 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
     for key in ("d", "k"):
         if params.get(key, 1) < 1:
             raise InputError(f"dataset {key} must be >= 1, got {params[key]}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     if kind == "uniform_cube":
         return Dataset(points=rng.random((n, params.get("d", 1))))
     d, k, sep = params.get("d", 2), params.get("k", 3), params.get("sep", 5.0)
+    if k > n:  # before any of its k centres is drawn
+        raise InputError(f"gaussian_mixture needs k <= n, got k = {k}, n = {n}")
     centers = _mixture_centers(d, k, sep, rng)
     labels = rng.integers(0, k, size=n)
     pts = centers[labels] + rng.standard_normal((n, d))
@@ -348,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     rule = next(rules)
                 except (InputError, NumericalError) as exc:
                     raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
-                ts, tw = rule.sample_time_s, rule.weight_time_s
+                ts, tw = (rule.sample_time_s, rule.weight_time_s) if config.timings else (0.0, 0.0)
                 row = ResultRow(method, m, trial or 0, rule.error, ts, tw, ts + tw)
                 # a deterministic method's row is replicated across the trial rows
                 rows += [row] * (config.trials if trial is None else 1)
@@ -384,21 +386,19 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
     return out
 
 
-def write_raw_csv(result: ExperimentResult, path, timings: bool = True) -> None:
-    """Raw rows, one per (method, m, trial).  With timings off the time
-    columns are written as zeros so reruns are byte-identical."""
+def write_raw_csv(result: ExperimentResult, path) -> None:
+    """Raw rows, one per (method, m, trial)."""
     rows = [RAW_HEADER.split(",")]
     for r in result.rows:
-        ts, tw, tt = (r.sample_time_s, r.weight_time_s, r.total_time_s) if timings else (0, 0, 0)
-        rows.append([r.method, r.m, r.trial, *map(_fmt, (r.error, ts, tw, tt))])
+        times = (r.sample_time_s, r.weight_time_s, r.total_time_s)
+        rows.append([r.method, r.m, r.trial, *map(_fmt, (r.error, *times))])
     _write_rows(path, rows)
 
 
-def write_summary_csv(summary: list, path, timings: bool = True) -> None:
+def write_summary_csv(summary: list, path) -> None:
     rows = [SUMMARY_HEADER.split(",")]
     for s in summary:
-        tm = s.time_median if timings else 0.0
-        rows.append([s.method, s.m, *map(_fmt, (s.error_median, s.error_std, tm))])
+        rows.append([s.method, s.m, *map(_fmt, (s.error_median, s.error_std, s.time_median))])
     _write_rows(path, rows)
 
 
@@ -425,22 +425,13 @@ def read_summary_csv(path) -> list:
 
 _BOOL = {"true": True, "on": True, "yes": True, "false": False, "off": False, "no": False}
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "kernel": str,
-    "methods": "list",
-    "m_grid": "intlist",
-    "trials": int,
-    "master_seed": int,
-    "output": str,
-    "n": int,
-    "data_seed": int,
-    "standardize": "bool",
-    "target": str,
-    "timings": "bool",
-    "workers": int,
-    "allow_large_n": "bool",
-}
+
+def _bool(value: str) -> bool:
+    return _BOOL[value.lower()]
+
+
+def _int_list(value: str) -> tuple:
+    return tuple(int(v) for v in value.split(",") if v.strip())
 
 
 def _split_methods(value: str) -> tuple:
@@ -453,6 +444,25 @@ def _split_methods(value: str) -> tuple:
         elif token:
             methods.append(token)
     return tuple(methods)
+
+
+# Config schema: key -> the parser of its value.
+_CONFIG_KEYS = {
+    "dataset": str,
+    "kernel": str,
+    "methods": _split_methods,
+    "m_grid": _int_list,
+    "trials": int,
+    "master_seed": int,
+    "output": str,
+    "n": int,
+    "data_seed": int,
+    "standardize": _bool,
+    "target": str,
+    "timings": _bool,
+    "workers": int,
+    "allow_large_n": _bool,
+}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -470,16 +480,8 @@ def parse_config(path) -> ExperimentConfig:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise InputError(f"{path}:{lineno}: repeated key {key!r}")
-        kind = _CONFIG_KEYS[key]
         try:
-            if kind == "list":
-                values[key] = _split_methods(value)
-            elif kind == "intlist":
-                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif kind == "bool":
-                values[key] = _BOOL[value.lower()]
-            else:
-                values[key] = kind(value)
+            values[key] = _CONFIG_KEYS[key](value)
         except (ValueError, KeyError) as exc:
             raise InputError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(values)
@@ -496,7 +498,7 @@ def summary_path_for(raw_path: str) -> str:
 def run_to_files(config: ExperimentConfig) -> tuple[str, str]:
     """Run the experiment and write the raw and summary CSVs."""
     result = run_experiment(config)
-    write_raw_csv(result, config.output, timings=config.timings)
+    write_raw_csv(result, config.output)
     spath = summary_path_for(config.output)
-    write_summary_csv(summarize(result), spath, timings=config.timings)
+    write_summary_csv(summarize(result), spath)
     return config.output, spath

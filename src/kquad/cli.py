@@ -73,7 +73,7 @@ def _cmd_compress(args) -> int:
     points = bench.load_csv(args.input).points
     if args.standardize:
         points = bench.standardize_points(points)
-    kernel = parse_kernel(args.kernel, points=points, rng=np.random.default_rng(args.seed))
+    kernel = parse_kernel(args.kernel, points=points, rng=args.seed)
     rule = compress(points, kernel, args.method, args.m, args.seed)
     bench.save_rule(rule, args.output)
     print(f"wrote {len(rule)} nodes to {args.output}; worst-case error {rule.error:.6g}")
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
         if args.command == "compress":
             return _cmd_compress(args)
         return _cmd_rates(args)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

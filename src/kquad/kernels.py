@@ -107,6 +107,8 @@ class KernelSpec:
         factor = value = float(t[0])
         for _ in range(self.dim - 1):
             value *= factor
+            if value == math.inf:  # every factor exceeds 1, so the product stays inf
+                break
         return value
 
 
@@ -247,13 +249,13 @@ def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
     return v
 
 
-def median_heuristic(X, rng: np.random.Generator | None = None) -> float:
+def median_heuristic(X, rng=0) -> float:
     """Median pairwise Euclidean distance over a random subset of
     _MEDIAN_SUBSET points of X (all of X if it has fewer).
 
     The distances of the subset's pairs come from scipy's ``pdist``.
-    Deterministic given the generator state; raises if the median comes out
-    zero (a bandwidth must be positive).
+    The subset is drawn by ``np.random.default_rng(rng)``; raises if the
+    median comes out zero (a bandwidth must be positive).
     """
     # imported here: scipy.spatial takes ~130 ms to load, which Sobolev-only runs skip
     from scipy.spatial.distance import pdist
@@ -262,9 +264,7 @@ def median_heuristic(X, rng: np.random.Generator | None = None) -> float:
     n = P.shape[0]
     if n < 2:
         raise InputError("median heuristic needs at least two points")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    idx = rng.permutation(n)[:_MEDIAN_SUBSET]
+    idx = np.random.default_rng(rng).permutation(n)[:_MEDIAN_SUBSET]
     med = float(np.median(pdist(P[idx])))
     if med <= 0.0:
         raise InputError("median inter-point distance is zero; bandwidth must be positive")
@@ -281,12 +281,13 @@ KERNELS = {
 }
 
 
-def parse_kernel(text: str, points=None, rng: np.random.Generator | None = None) -> KernelSpec:
+def parse_kernel(text: str, points=None, rng=0) -> KernelSpec:
     """Build a KernelSpec from a selector string.
 
     Grammar: ``gaussian:sigma=<float|median>``, ``laplacian:sigma=<float|median>``,
     ``sobolev:s=<int>,d=<int>``.  ``sigma=median`` requires ``points`` and
-    takes the median heuristic over a random subset of 1000 of them.
+    takes the median heuristic over a random subset of 1000 of them, drawn by
+    ``np.random.default_rng(rng)``.
     """
     family, params = parse_spec(text, "kernel", KERNELS)
     if family == "sobolev":

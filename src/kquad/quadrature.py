@@ -266,18 +266,16 @@ def compress_grid(
                 "the selected ones; its rules for m = %s have %d nodes",
                 method, len(selected), ", ".join(map(str, short)), len(selected),
             )
+        pick = lambda m, draw: selected[:m]
     elif head == "arls":
         scores = approx_rls_pilot(P, kernel, params.get("lambda"), params.get("pilot"), rng)
+        pick = lambda m, draw: sample_proportional(scores, m, draw)
+    else:
+        pick = lambda m, draw: uniform_subsample(P.shape[0], m, head != "uniform", draw)
     shared_s = time.perf_counter() - t0
     for m in ms:
         t0 = time.perf_counter()
-        draw = rng if draw_rng is None else draw_rng(m)
-        if head in GREEDY:
-            indices = selected[:m]
-        elif head == "arls":
-            indices = sample_proportional(scores, m, draw)
-        else:
-            indices = uniform_subsample(P.shape[0], m, head != "uniform", draw)
+        indices = pick(m, rng if draw_rng is None else draw_rng(m))
         t1 = time.perf_counter()
         nodes, v = P[indices], kme[indices]
         Km = gram(kernel, nodes)

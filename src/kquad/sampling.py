@@ -29,15 +29,12 @@ class LeverageScores:
     values: np.ndarray
 
 
-def uniform_subsample(
-    n: int, m: int, with_replacement: bool = False, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """m indices drawn uniformly from [0, n); without replacement uses a
-    partial Fisher-Yates shuffle."""
+def uniform_subsample(n: int, m: int, with_replacement: bool = False, rng=0) -> np.ndarray:
+    """m indices drawn uniformly from [0, n) by ``np.random.default_rng(rng)``;
+    without replacement uses a partial Fisher-Yates shuffle."""
     if m < 1 or n < 1:
         raise InputError("need n >= 1 and m >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(rng)
     if with_replacement:
         return rng.integers(0, n, size=m)
     if m > n:
@@ -78,7 +75,7 @@ def approx_rls_pilot(
     kernel: KernelSpec,
     lam: float | None = None,
     pilot_size: int | None = None,
-    rng: np.random.Generator | None = None,
+    rng=0,
     pilot_indices=None,
 ) -> LeverageScores:
     """Pilot-based approximate ridge leverage scores.
@@ -124,16 +121,13 @@ def approx_rls_pilot(
     return LeverageScores(lam=lam, values=values)
 
 
-def sample_proportional(
-    scores: LeverageScores, m: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """m i.i.d. draws (with replacement) proportional to the scores."""
+def sample_proportional(scores: LeverageScores, m: int, rng=0) -> np.ndarray:
+    """m i.i.d. draws (with replacement) proportional to the scores, by
+    ``np.random.default_rng(rng)``."""
     if m < 1:
         raise InputError("m must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     v = np.clip(np.asarray(scores.values, dtype=np.float64), 0.0, None)
     total = float(v.sum())
     if total <= 0.0:
         raise InputError("all leverage scores are zero")
-    return rng.choice(v.size, size=m, replace=True, p=v / total)
+    return np.random.default_rng(rng).choice(v.size, size=m, replace=True, p=v / total)

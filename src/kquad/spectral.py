@@ -88,7 +88,7 @@ def empirical_covariance_spectrum(gram_matrix) -> np.ndarray:
     return np.clip(eigvalsh(M, check_finite=False)[::-1], 0.0, None) / M.shape[0]
 
 
-def decay_bound(model: DecayModel, lam: float, trace: float | None = None) -> float:
+def decay_bound(model: DecayModel, lam: float, trace: float) -> float:
     """Effective-dimension bound implied by the decay model at lambda.
 
     Polynomial with gamma < 1: (a / (1 - gamma)) * lambda^(-gamma).
@@ -101,8 +101,6 @@ def decay_bound(model: DecayModel, lam: float, trace: float | None = None) -> fl
     if model.kind == "polynomial":
         if model.rate < 1.0:
             return (model.amplitude / (1.0 - model.rate)) * lam ** (-model.rate)
-        if trace is None:
-            raise InputError("gamma = 1 bound needs the spectrum trace")
         return trace / lam
     return math.log1p(model.amplitude / lam) / model.rate
 

@@ -162,6 +162,17 @@ def test_gen_mixture_clusters_recoverable():
     assert purity >= 0.99
 
 
+def test_gen_mixture_needs_k_at_most_n():
+    # a huge k is refused before any of its centres is drawn
+    message = "gaussian_mixture needs k <= n, got k = 100000000000, n = 300"
+    with pytest.raises(InputError, match=message):
+        gen_synthetic("gaussian_mixture:d=2,k=100000000000,sep=5", 300, seed=0)
+    with pytest.raises(InputError, match="k = 3, n = 2"):  # the default k = 3
+        gen_synthetic("gaussian_mixture:d=2", 2, seed=0)
+    assert gen_synthetic("gaussian_mixture:d=2,k=4", 4, seed=0).points.shape == (4, 2)
+    assert gen_synthetic("uniform_cube:d=2", 2, seed=0).points.shape == (2, 2)
+
+
 def test_gen_errors():
     with pytest.raises(InputError):
         gen_synthetic("donut:d=2", 10, seed=0)
@@ -286,6 +297,14 @@ def test_greedy_truncation_is_logged(caplog):
     assert not caplog.records
 
 
+def test_timings_off_zeroes_the_row_times():
+    res = run_experiment(small_config(methods=("uniform", "arls", "fp-greedy"), timings=False))
+    assert res.rows
+    for r in res.rows:
+        assert (r.sample_time_s, r.weight_time_s, r.total_time_s) == (0.0, 0.0, 0.0)
+    assert all(s.time_median == 0.0 for s in summarize(res))
+
+
 def test_run_experiment_reproducible_bytes(tmp_path):
     cfg = small_config(
         methods=("uniform", "arls", "p-greedy"),
@@ -392,8 +411,8 @@ def test_csv_round_trip_with_comma_bearing_method(tmp_path):
     ]
     result = ExperimentResult(rows=rows)
     raw, summary = tmp_path / "raw.csv", tmp_path / "raw_summary.csv"
-    write_raw_csv(result, raw, timings=False)
-    write_summary_csv(summarize(result), summary, timings=False)
+    write_raw_csv(result, raw)
+    write_summary_csv(summarize(result), summary)
     with open(raw, newline="", encoding="utf-8") as fh:
         back = [(r["method"], int(r["m"]), int(r["trial"]), float(r["error"]))
                 for r in csv.DictReader(fh)]
@@ -489,6 +508,11 @@ output = results.csv
     assert cfg.timings is False
     assert cfg.target == "unit-cube"
     run_experiment(cfg)  # parses into a runnable config
+
+
+def test_config_keys_are_the_config_fields():
+    assert set(bench._CONFIG_KEYS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert all(map(callable, bench._CONFIG_KEYS.values()))
 
 
 def test_parse_config_keeps_method_parameters(tmp_path):

@@ -145,6 +145,22 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path):
     assert cli.main(["run", str(cfg)]) == 2
 
 
+def test_allocation_failure_exit_code(data_csv, tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    path, _ = data_csv
+    monkeypatch.setattr(cli, "compress", boom)
+    argv = ["compress", "--input", str(path), "--kernel", "gaussian:sigma=0.8",
+            "--method", "monte-carlo", "--m", "100000000000000", "--seed", "1",
+            "--output", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 728. TiB for an array\n"
+    monkeypatch.setattr(cli.bench, "parse_config", boom)
+    assert cli.main(["run", str(tmp_path / "x.cfg")]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
 @pytest.mark.parametrize("m", ["0", "-3"])
 def test_compress_nonpositive_m_exit_code(data_csv, tmp_path, capsys, m):
     path, _ = data_csv

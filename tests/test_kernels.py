@@ -234,6 +234,26 @@ def test_sobolev_diagonal_must_be_a_finite_float(order, largest):
     assert math.isfinite(periodic_sobolev(order, largest).diag)
     with pytest.raises(InputError, match=f"s={order}, d={largest + 1}: its diagonal"):
         periodic_sobolev(order, largest + 1)
+    # a huge d is refused at once: the product stops at its first infinite factor
+    with pytest.raises(InputError, match=f"s={order}, d={10**12}: its diagonal"):
+        periodic_sobolev(order, 10**12)
+
+
+_X1500 = np.random.default_rng(8).standard_normal((1500, 2))  # above the 1000-point subset
+
+# each draw of the median-heuristic subset with the rng keyword left to its default or given
+_DRAWS = {
+    "median_heuristic": lambda **kw: median_heuristic(_X1500, **kw),
+    "parse_kernel": lambda **kw: parse_kernel("laplacian:sigma=median", _X1500, **kw).bandwidth,
+}
+
+
+@pytest.mark.parametrize("draw", _DRAWS.values(), ids=_DRAWS)
+def test_rng_is_a_default_rng_seed(draw):
+    assert draw() == draw(rng=0)
+    for seed in (0, 5, 2**40):
+        assert draw(rng=seed) == draw(rng=np.random.default_rng(seed))
+    assert draw(rng=5) != draw(rng=6)
 
 
 def test_median_heuristic_small_cases():

@@ -9,6 +9,7 @@ from kquad.bench import gen_synthetic
 from kquad.kernels import gaussian, gram, parse_kernel, periodic_sobolev
 from kquad.numerics import _pivoted_cholesky
 from kquad.sampling import (
+    LeverageScores,
     approx_rls_pilot,
     exact_rls,
     sample_proportional,
@@ -16,6 +17,29 @@ from kquad.sampling import (
 )
 
 from oracles import fisher_yates_per_index, nystrom_leverage_scores
+
+
+_POINTS = np.random.default_rng(4).standard_normal((40, 2))
+
+# each library draw with the rng keyword left to its default or given
+_DRAWS = {
+    "uniform_subsample": lambda **kw: uniform_subsample(50, 7, **kw),
+    "uniform_subsample_wr": lambda **kw: uniform_subsample(50, 7, True, **kw),
+    "sample_proportional": lambda **kw: sample_proportional(
+        LeverageScores(lam=0.1, values=np.arange(1.0, 21.0)), 9, **kw
+    ),
+    "approx_rls_pilot": lambda **kw: approx_rls_pilot(
+        _POINTS, gaussian(0.7), 0.05, 6, **kw
+    ).values,
+}
+
+
+@pytest.mark.parametrize("draw", _DRAWS.values(), ids=_DRAWS)
+def test_rng_is_a_default_rng_seed(draw):
+    assert np.array_equal(draw(), draw(rng=0))
+    for seed in (0, 5, 2**40):
+        assert np.array_equal(draw(rng=seed), draw(rng=np.random.default_rng(seed)))
+    assert not np.array_equal(draw(rng=5), draw(rng=6))
 
 
 def test_uniform_without_replacement_is_permutation():
