@@ -28,8 +28,9 @@ coordinates above 2^500 in absolute value: each (a_k - b_k)^2 is then at most
 ``_fill`` evaluates an (a, b) array in row strips of about _STRIP values that
 stay in cache; ``gram`` is one fill of its output.  The kernel matvec
 ``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target) fills
-_TILE-square tiles, which fix the bits of its BLAS row sums, in one buffer;
-each tile's product goes through ``numerics.matvec``, scipy's ``dgemv``.
+_TILE-square tiles in one buffer, only those on and above the diagonal when
+it runs on the target's own points, and sums each tile's products with
+numpy's single-threaded ``einsum``, so the tile shape alone fixes its bits.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import matvec
 from .specs import optional, parse_spec
 
 SUPPORTED_ORDERS = (1, 2, 3)
 
 # Side of the square tiles of the kernel matvec: a row's sum over a tile is one
-# BLAS dot product, so the tile shape fixes the bits of K b.
-_TILE = 1024
+# einsum row or column product, so the tile shape fixes the bits of K b.
+_TILE = 256
 
 # Kernel values per row strip of a fill (512 KiB): a strip and its Sobolev
 # temporaries stay in a core's L2 cache.
@@ -198,8 +198,7 @@ def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.nd
             out /= kernel.bandwidth**2
         else:  # -sqrt(d2) / sigma
             np.sqrt(out, out=out)
-            np.negative(out, out=out)
-            out /= kernel.bandwidth
+            out /= -kernel.bandwidth
     np.exp(out, out=out)
 
 
@@ -233,19 +232,29 @@ def gram(kernel: KernelSpec, X, Y=None) -> np.ndarray:
 def _kernel_matvec(kernel: KernelSpec, X, Y, b) -> np.ndarray:
     """K(X, Y) b, never holding more than one tile.
 
-    The walk takes _TILE-square tiles, column block J outer and row block I
-    inner; each tile K_IJ is filled into one reused buffer and adds K_IJ b_J to
-    its rows.  So every row sums the same per-tile BLAS dot products in
-    column-block order, whatever the other rows are.
+    The walk fills _TILE-square tiles K_IJ, row block I outer and column
+    block J inner, into one reused buffer; each adds the row product K_IJ b_J
+    to v_I.  When Y equals X by value, K is symmetric bit for bit, so only the
+    tiles with J >= I are filled, and each off-diagonal one also adds its
+    column product K_IJ^T b_I to v_J: every pair's kernel value is computed
+    once.  Either way each row block sums its tile products in increasing
+    order of the other block.  The products are numpy ``einsum`` loops, not
+    BLAS, so the bits depend on no thread count.
     """
     A, B = _point_pair(kernel, X, Y)
+    symmetric = np.array_equal(A, B)
     v = np.zeros(A.shape[0])
     buf = np.empty(min(_TILE, A.shape[0]) * min(_TILE, B.shape[0]))
-    for j0 in range(0, B.shape[0], _TILE):
-        for i0 in range(0, A.shape[0], _TILE):
-            Ai, Bj = A[i0 : i0 + _TILE], B[j0 : j0 + _TILE]
+    for i0 in range(0, A.shape[0], _TILE):
+        I = slice(i0, i0 + _TILE)
+        Ai = A[I]
+        for j0 in range(i0 if symmetric else 0, B.shape[0], _TILE):
+            J = slice(j0, j0 + _TILE)
+            Bj = B[J]
             K = _fill(kernel, Ai, Bj, buf[: len(Ai) * len(Bj)].reshape(len(Ai), len(Bj)))
-            v[i0 : i0 + _TILE] += matvec(K, b[j0 : j0 + _TILE])
+            v[I] += np.einsum("ij,j->i", K, b[J])
+            if symmetric and j0 > i0:
+                v[J] += np.einsum("ij,i->j", K, b[I])
     return v
 
 

@@ -17,11 +17,12 @@ threaded call.  On a 2-core machine a scipy LAPACK call made just after a
 threaded numpy product waits for numpy's spinning worker: a 256 x 256
 ``dpstrf`` took 3.3-3.6 ms after a numpy ``K @ b`` against 0.37 ms after
 scipy's ``dgemv`` or with no product before it.  So the products on the
-path that builds rules (the kernel mean, the arls pilot, the weight solve
-and the error) call scipy's BLAS through ``matvec`` and ``syrk``, which give
-the same bits as numpy's ``A @ x`` and ``B @ B.T``, and numpy's pool never
-wakes between two scipy LAPACK calls.  Vector dot products stay with numpy:
-OpenBLAS runs them on one thread below 10000 entries.
+path that builds rules (the arls pilot, the weight solve and the error)
+call scipy's BLAS through ``matvec`` and ``syrk``, which give the same bits
+as numpy's ``A @ x`` and ``B @ B.T``, and numpy's pool never wakes between
+two scipy LAPACK calls.  Vector dot products stay with numpy: OpenBLAS runs
+them on one thread below 10000 entries.  The kernel mean takes no BLAS at
+all (``kernels._kernel_matvec``).
 """
 
 from __future__ import annotations

@@ -121,8 +121,8 @@ def target_moments(kernel: KernelSpec, nodes, target: TargetMeasure) -> np.ndarr
 
     Discrete targets are streamed tile by tile through the kernel matvec
     (``kernels._kernel_matvec``), so the m x n cross matrix is never
-    materialized; the target's own points take the same pass.  The unit-cube
-    target gives the constant vector 1.
+    materialized; on the target's own points the pass evaluates each pair of
+    points once.  The unit-cube target gives the constant vector 1.
     """
     N = _as_points(nodes, kernel)
     if not target.is_discrete:

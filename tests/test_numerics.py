@@ -132,8 +132,8 @@ def test_pivoted_cholesky_factor_is_the_c_ordered_copy(size, rank):
     assert np.array_equal(perm, piv - 1)
 
 
-# 1x1, single rows and columns, odd shapes, and the kernel matvec's 1024-square
-# tiles: whole, one row or column over (a partial tile), and several
+# 1x1, single rows and columns, odd shapes, and larger products: square, one row
+# or column over a power of two, and several times that
 MATVEC_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 5), (256, 256), (1025, 700), (700, 1025),
                  (1024, 1024), (2048, 1025)]
 

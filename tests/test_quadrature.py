@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -389,7 +390,7 @@ SYMMETRIC_KERNELS = {
 
 @pytest.mark.parametrize("masses", ["uniform", "dirichlet"])
 @pytest.mark.parametrize("family", sorted(SYMMETRIC_KERNELS))
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 1023, 1024, 1025, 2500])
 def test_symmetric_kernel_matvec_matches_cross_pass(n, family, masses):
     """The tiled K(X, X) b against one dense product, across the tile edges."""
     kern, d = SYMMETRIC_KERNELS[family]
@@ -413,23 +414,63 @@ def test_symmetric_kernel_matvec_property(seed, n, d, laplace, dirichlet):
     assert np.all(np.abs(tiled - dense) <= bound)
 
 
+def block_sums(kern, X, Y, b, c, columns_below):
+    """K(X, Y) b in c-point blocks, each row block I summing its tile products
+    in increasing order of the other block J: for J < I the column product of
+    K(Y_J, X_I) when columns_below, every other tile's row product K(X_I, Y_J) b_J."""
+    v = np.zeros(len(X))
+    for i0 in range(0, len(X), c):
+        I = slice(i0, i0 + c)
+        for j0 in range(0, len(Y), c):
+            J = slice(j0, j0 + c)
+            if columns_below and j0 < i0:
+                v[I] += np.einsum("ij,i->j", gram(kern, Y[J], X[I]), b[J])
+            else:
+                v[I] += np.einsum("ij,j->i", gram(kern, X[I], Y[J]), b[J])
+    return v
+
+
 @pytest.mark.parametrize(
     "kern", [gaussian(1.0), periodic_sobolev(3, 2)], ids=["gaussian", "sobolev"]
 )
 def test_kernel_matvec_sums_its_tiles_in_walk_order(monkeypatch, kern):
+    """On the target's own points the walk takes column products below the
+    diagonal, against other points row products only."""
     n, c = 10, 4
-    X = np.random.default_rng(0).random((n, 2))
-    b = np.random.default_rng(1).dirichlet(np.ones(n))
-    monkeypatch.setattr(kernels, "_TILE", c)  # tiles of 4, 4 and 2 rows and columns
-    expected = np.zeros(n)
-    for j0 in range(0, n, c):  # column blocks outer
-        J = slice(j0, j0 + c)
-        for i0 in range(0, n, c):
-            I = slice(i0, i0 + c)
-            expected[I] += gram(kern, X[I], X[J]) @ b[J]
-    assert np.array_equal(kernels._kernel_matvec(kern, X, X, b), expected)
-    monkeypatch.setattr(kernels, "_STRIP", 5)  # the reused buffer filled in 1- or 2-row strips
-    assert np.array_equal(kernels._kernel_matvec(kern, X, X, b), expected)
+    rng = np.random.default_rng(3)
+    X, Y = rng.random((n, 2)), rng.random((7, 2))
+    b, bY = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(7))
+    monkeypatch.setattr(kernels, "_TILE", c)  # blocks of 4, 4 and 2 points (4 and 3 of Y)
+    own = block_sums(kern, X, X, b, c, columns_below=True)
+    # these data round the two orders differently, so the test tells them apart
+    assert not np.array_equal(own, block_sums(kern, X, X, b, c, columns_below=False))
+    cross = block_sums(kern, X, Y, bY, c, columns_below=False)
+    for strip in (kernels._STRIP, 5):  # 5: the reused buffer filled in 1- or 2-row strips
+        monkeypatch.setattr(kernels, "_STRIP", strip)
+        assert np.array_equal(kernels._kernel_matvec(kern, X, X, b), own)
+        assert np.array_equal(kernels._kernel_matvec(kern, X, X.copy(), b), own)
+        assert np.array_equal(kernels._kernel_matvec(kern, X, Y, bY), cross)
+
+
+def test_symmetric_kernel_matvec_evaluates_each_pair_once(monkeypatch):
+    n, c = 10, 4
+    X = np.arange(n, dtype=np.float64)[:, None]  # point i is the number i
+    filled = Counter()
+    fill = kernels._fill
+
+    def counted(kernel, A, B, out):
+        filled.update((int(a), int(b)) for a in A[:, 0] for b in B[:, 0])
+        return fill(kernel, A, B, out)
+
+    monkeypatch.setattr(kernels, "_TILE", c)
+    monkeypatch.setattr(kernels, "_fill", counted)
+    kernels._kernel_matvec(laplacian(1.0), X, X, np.full(n, 1.0 / n))
+    # the 6 tiles on and above the diagonal, of 4x4, 4x4, 4x2, 4x4, 4x2 and 2x2
+    # points: the diagonal ones whole, every other pair once in one order
+    assert sum(filled.values()) == 16 + 16 + 8 + 16 + 8 + 4
+    for i in range(n):
+        for j in range(n):
+            assert filled[i, j] + filled[j, i] == (2 if i // c == j // c else 1)
 
 
 def test_discrete_target_moments_and_self_product_are_the_kernel_matvec():
