@@ -37,6 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--seed", required=True, type=int)
     comp.add_argument("--output", required=True, help="rule CSV to write")
     comp.add_argument("--standardize", action="store_true")
+    comp.add_argument(
+        "--allow-large-n", action="store_true",
+        help="lift the n <= 2^14 and m <= 2^14 cap on the passes quadratic in them",
+    )
 
     rates = sub.add_parser("rates", help="fit slopes and overlay a theoretical curve")
     rates.add_argument("--summary", required=True, help="summary CSV from 'kquad run'")
@@ -66,11 +70,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_size(name: str, value: int, allow: bool) -> None:
+    """Refuse an n or m above ``bench.LARGE_N`` unless ``allow``."""
+    if value > bench.LARGE_N and not allow:
+        raise InputError(
+            f"{name} = {value} exceeds 2^14 and the kernel passes are quadratic in {name}; "
+            "pass --allow-large-n to proceed"
+        )
+
+
 def _cmd_compress(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    _check_size("m", args.m, args.allow_large_n)
     _check_output(args.output)
     points = bench.load_csv(args.input).points
+    _check_size("n", points.shape[0], args.allow_large_n)
     if args.standardize:
         points = bench.standardize_points(points)
     kernel = parse_kernel(args.kernel, points=points, rng=args.seed)

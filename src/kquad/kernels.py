@@ -27,10 +27,11 @@ coordinates above 2^500 in absolute value: each (a_k - b_k)^2 is then at most
 
 ``_fill`` evaluates an (a, b) array in row strips of about _STRIP values that
 stay in cache; ``gram`` is one fill of its output.  The kernel matvec
-``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target) fills
-_TILE-square tiles in one buffer, only those on and above the diagonal when
-it runs on the target's own points, and sums each tile's products with
-numpy's single-threaded ``einsum``, so the tile shape alone fixes its bits.
+``_kernel_matvec`` (the Theta(n^2) kernel mean of a discrete target, and each
+rule's w^T K_m w over its nodes) fills _TILE-square tiles in one buffer, only
+those on and above the diagonal when it runs on the same points on both
+sides, and sums each tile's products with numpy's single-threaded ``einsum``,
+so the tile shape alone fixes its bits.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def periodic_sobolev(order: int, dim: int = 1) -> KernelSpec:
 
 def _sobolev_factor(order: int, t: np.ndarray, w: np.ndarray, z: np.ndarray) -> None:
     """1 + (-1)^(s-1) (2 pi)^(2s) / (2s)! * B_{2s}(t), s in {1, 2, 3}, in place of t,
-    B_{2s} in terms of u = t(t - 1); w and z are scratch arrays of t's shape."""
+    B_{2s} in terms of u = t(t - 1); w and z are scratch arrays of t's shape,
+    z read only for s = 3."""
     np.subtract(t, 1.0, out=w)
     t *= w
     if order == 1:
@@ -173,13 +175,14 @@ def _point_pair(kernel: KernelSpec, X, Y) -> tuple[np.ndarray, np.ndarray]:
 
 def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray, work):
     """Write the (len(A), len(B)) block of kernel values into the C-contiguous
-    out, in place; Sobolev also uses the rows of the (3, >= out.size) array
-    work.  Built from coordinate differences only, so swapping A and B
+    out, in place; Sobolev also uses the rows of the array work that ``_fill``
+    sizes.  Built from coordinate differences only, so swapping A and B
     transposes the block bit-exactly."""
     if kernel.family == "sobolev":
-        factor, w, z = (row.reshape(out.shape) for row in work[:, : out.size])
+        w, *more = (row.reshape(out.shape) for row in work[:, : out.size])
+        z = more.pop() if kernel.order == 3 else None
         for k in range(A.shape[1]):
-            t = out if k == 0 else factor
+            t = out if k == 0 else more[0]
             np.subtract.outer(A[:, k], B[:, k], out=t)
             np.abs(t, out=t)
             t -= np.floor(t, out=w)
@@ -206,7 +209,9 @@ def _fill(kernel: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray) -> 
     """Fill the C-contiguous (len(A), len(B)) array out with k(A_i, B_j), row
     strip by row strip, each strip about _STRIP values; returns out."""
     rows = min(A.shape[0], max(1, _STRIP // B.shape[0]))
-    work = np.empty((3, rows * B.shape[0])) if kernel.family == "sobolev" else None
+    work = None
+    if kernel.family == "sobolev":  # rows: w; the factor of coordinates k > 0; z for s = 3
+        work = np.empty((1 + (A.shape[1] > 1) + (kernel.order == 3), rows * B.shape[0]))
     for i0 in range(0, A.shape[0], rows):
         _pairwise_block(kernel, A[i0 : i0 + rows], B, out[i0 : i0 + rows], work)
     return out

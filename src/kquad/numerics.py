@@ -17,12 +17,12 @@ threaded call.  On a 2-core machine a scipy LAPACK call made just after a
 threaded numpy product waits for numpy's spinning worker: a 256 x 256
 ``dpstrf`` took 3.3-3.6 ms after a numpy ``K @ b`` against 0.37 ms after
 scipy's ``dgemv`` or with no product before it.  So the products on the
-path that builds rules (the arls pilot, the weight solve and the error)
-call scipy's BLAS through ``matvec`` and ``syrk``, which give the same bits
-as numpy's ``A @ x`` and ``B @ B.T``, and numpy's pool never wakes between
-two scipy LAPACK calls.  Vector dot products stay with numpy: OpenBLAS runs
-them on one thread below 10000 entries.  The kernel mean takes no BLAS at
-all (``kernels._kernel_matvec``).
+path that builds rules (the arls pilot and the weight solve) call scipy's
+BLAS through ``matvec`` and ``syrk``, which give the same bits as numpy's
+``A @ x`` and ``B @ B.T``, and numpy's pool never wakes between two scipy
+LAPACK calls.  Vector dot products stay with numpy: OpenBLAS runs them on
+one thread below 10000 entries.  The kernel mean and the error's w^T K_m w
+take no matrix product at all: both are walks of ``kernels._kernel_matvec``.
 """
 
 from __future__ import annotations
@@ -55,27 +55,29 @@ def syrk(B: np.ndarray) -> np.ndarray:
 
 
 def _pivoted_cholesky(S: np.ndarray):
-    """Pivoted Cholesky P^T S P = F F^T of a fresh symmetric array S, which
-    ``dpstrf`` overwrites through its Fortran-ordered transpose (no copy).
+    """Pivoted Cholesky P^T S P = F F^T of a C-contiguous symmetric float64
+    array S, in place: ``dpstrf`` overwrites S through its Fortran-ordered
+    transpose, and the factor is then mirrored into S's own lower triangle.
 
     It stops once the largest residual diagonal is at most
     ``size * eps * max diag(S)``, LAPACK's own cutoff: the rounding left by
     the elimination steps before it.  Returns the size x r factor F, r the
-    numerical rank, in the lower trapezoid of a C-ordered array (entries of S
-    lie above it), and the pivots.
+    numerical rank, as the view ``S[:, :r]``, whose lower trapezoid holds F
+    (entries above it are not F), and the pivots.
     """
     tol = S.shape[0] * float(np.finfo(np.float64).eps) * float(np.max(np.diag(S), initial=0.0))
     c, piv, rank, info = dpstrf(S.T, tol=tol, lower=1, overwrite_a=1)
     if info < 0:
         raise NumericalError(f"dpstrf rejected argument {-info}")
-    # to C order in 64-column slabs, which stay in cache: twice as fast as one copy
-    F = np.empty((c.shape[0], rank))
+    # dpstrf left F^T in S's upper triangle; mirror it down in 64-column slabs,
+    # which stay in cache (numpy buffers the overlapping diagonal block)
     for j in range(0, rank, 64):
-        F[:, j : j + 64] = c[:, j : min(j + 64, rank)]
-    return F, piv - 1
+        w = min(64, rank - j)
+        S[j:, j : j + w] = S[j : j + w, j:].T
+    return S[:, :rank], piv - 1
 
 
-def pinv_apply(A, b) -> np.ndarray:
+def pinv_apply(A, b, overwrite_a: bool = False) -> np.ndarray:
     """Minimum-norm solution A^+ b for symmetric PSD A.
 
     A is factored as P^T A P = F F^T by pivoted Cholesky, which reads only
@@ -87,6 +89,10 @@ def pinv_apply(A, b) -> np.ndarray:
     solution of the truncated system, so weight on duplicate rows is split
     evenly.  An all-zero A yields the zero vector (minimum-norm convention),
     not an error.
+
+    As in scipy, ``overwrite_a=True`` lets the factorization overwrite A: a
+    C-contiguous, writeable float64 A is then factored in place, with no
+    copy.  Any other A is copied first, and A is left as it was.
     """
     M = np.asarray(A, dtype=np.float64)
     rhs = np.asarray(b, dtype=np.float64).ravel()
@@ -96,7 +102,8 @@ def pinv_apply(A, b) -> np.ndarray:
         raise InputError(f"shape mismatch: {M.shape} vs {rhs.shape}")
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise InputError("matrix or right-hand side contains non-finite entries")
-    F, perm = _pivoted_cholesky(M.copy())  # dpstrf overwrites its input
+    in_place = overwrite_a and M.flags.c_contiguous and M.flags.writeable
+    F, perm = _pivoted_cholesky(M if in_place else M.copy())
     rank = F.shape[1]
     if rank == 0:
         return np.zeros_like(rhs)
@@ -106,7 +113,8 @@ def pinv_apply(A, b) -> np.ndarray:
         z = solve_triangular(F, y, lower=True, check_finite=False)
         out[perm] = solve_triangular(F, z, lower=True, trans="T", check_finite=False)
         return out
-    Q, R = qr(np.tril(F), mode="economic", check_finite=False)
+    # tril(F) as a Fortran-ordered copy, which the QR then overwrites in place
+    Q, R = qr(np.triu(F.T).T, mode="economic", overwrite_a=True, check_finite=False)
     t = solve_triangular(R, matvec(Q.T, y), lower=False, check_finite=False)
     out[perm] = matvec(Q, solve_triangular(R, t, lower=False, trans="T", check_finite=False))
     return out

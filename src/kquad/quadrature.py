@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .greedy import greedy_select
 from .kernels import KernelSpec, _as_points, _kernel_matvec, gram
-from .numerics import matvec, pinv_apply
+from .numerics import pinv_apply
 from .sampling import approx_rls_pilot, sample_proportional, uniform_subsample
 from .specs import optional, parse_spec
 
@@ -162,11 +162,11 @@ def optimal_weights(kernel: KernelSpec, nodes, target: TargetMeasure) -> Quadrat
     The solve is ``numerics.pinv_apply``, a pivoted Cholesky of K_m that
     stops at the numerical rank.  The weights are the minimum-norm solution,
     so they live in the row space of K_m and duplicate nodes share their
-    weight evenly rather than being deduplicated.
+    weight evenly rather than being deduplicated.  K_m is factored in place.
     """
     N = _as_points(nodes)
     v = target_moments(kernel, N, target)
-    return QuadratureRule(nodes=N, weights=pinv_apply(gram(kernel, N), v))
+    return QuadratureRule(nodes=N, weights=pinv_apply(gram(kernel, N), v, overwrite_a=True))
 
 
 def integrate(rule: QuadratureRule, f_at_nodes) -> float:
@@ -181,22 +181,26 @@ def worst_case_error(rule: QuadratureRule, target: TargetMeasure, kernel: Kernel
     """Exact worst-case integration error over the RKHS unit ball.
 
     A fresh evaluation of the target's embedding at the rule's nodes
-    (Theta(n^2) kernel evaluations for a discrete target) and of their Gram.
+    (Theta(n^2) kernel evaluations for a discrete target), and of w^T K_m w
+    by the kernel matvec's walk over the node pairs (no Gram is held).
     Rules built by ``compress`` carry this error as ``rule.error`` already.
     """
     v, T = target_embedding(kernel, rule.nodes, target)
-    return _error(T, rule.weights, v, gram(kernel, rule.nodes))
+    w = rule.weights
+    return _error(T, w, v, float(w @ _kernel_matvec(kernel, rule.nodes, rule.nodes, w)))
 
 
-def _error(T: float, w: np.ndarray, v: np.ndarray, Km: np.ndarray) -> float:
+def _error(T: float, w: np.ndarray, v: np.ndarray, wKw: float) -> float:
     """E = sqrt(T - 2 w.v + w.K_m w), the three terms summed by fsum.
 
+    ``wKw`` is w . K_m w with K_m w from ``kernels._kernel_matvec`` on the
+    nodes: a walk that evaluates each node pair once and sums with numpy
+    ``einsum``, so no m x m array is held and no BLAS is called.
     Cancellation rounds in proportion to the terms, and |w.v| <=
     sqrt(T w.K_m w) by Cauchy-Schwarz, so S = max(1, T, w.K_m w) bounds all
     three: a squared error above -1e-8 S is clamped to zero, anything lower
     raises.
     """
-    wKw = float(w @ matvec(Km, w))
     e2 = math.fsum([T, -2.0 * float(w @ v), wKw])
     if e2 < -1e-8 * max(1.0, T, wKw):
         raise NumericalError(f"squared worst-case error {e2:.3e} is negative beyond tolerance")
@@ -230,8 +234,11 @@ def compress_grid(
     and the wall times of the two phases.
 
     ``embedding`` is the target's ``target_embedding(kernel, X, target)``, by
-    default that of the uniform discrete measure on X.  A rule's node Gram is
-    dropped once its error is computed.
+    default that of the uniform discrete measure on X.  A rule holds at most
+    one m x m array: the node Gram, which ``pinv_apply`` factors in place and
+    which is dropped before the error is computed.  ``monte-carlo`` builds no
+    Gram.  The error's w^T K_m w comes from the kernel matvec's walk over the
+    node pairs.
 
     The work that does not depend on m is done once: the arls pilot scores
     are drawn from ``rng``, and a greedy method runs once at max(ms), the
@@ -278,11 +285,13 @@ def compress_grid(
         indices = pick(m, rng if draw_rng is None else draw_rng(m))
         t1 = time.perf_counter()
         nodes, v = P[indices], kme[indices]
-        Km = gram(kernel, nodes)
-        weights = np.full(m, 1.0 / m) if head == "monte-carlo" else pinv_apply(Km, v)
+        if head == "monte-carlo":
+            weights = np.full(m, 1.0 / m)
+        else:
+            weights = pinv_apply(gram(kernel, nodes), v, overwrite_a=True)
         t2 = time.perf_counter()
-        error = _error(T, weights, v, Km)
-        del Km  # free this K_m before the next, larger rule builds its own
+        wKw = float(weights @ _kernel_matvec(kernel, nodes, nodes, weights))
+        error = _error(T, weights, v, wKw)
         yield QuadratureRule(
             nodes=nodes,
             weights=weights,

@@ -153,12 +153,36 @@ def test_allocation_failure_exit_code(data_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "compress", boom)
     argv = ["compress", "--input", str(path), "--kernel", "gaussian:sigma=0.8",
             "--method", "monte-carlo", "--m", "100000000000000", "--seed", "1",
-            "--output", str(tmp_path / "r.csv")]
+            "--output", str(tmp_path / "r.csv"), "--allow-large-n"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 728. TiB for an array\n"
     monkeypatch.setattr(cli.bench, "parse_config", boom)
     assert cli.main(["run", str(tmp_path / "x.cfg")]) == 1
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("rows, m", [(64, 2**14 + 1), (2**14 + 1, 8)])
+def test_compress_large_n_or_m_exit_code(tmp_path, capsys, monkeypatch, rows, m):
+    """n or m above 2^14 is refused before any kernel pass, unless
+    --allow-large-n lifts the cap; m > n stays legal with replacement."""
+    path = tmp_path / "data.csv"
+    path.write_text("0.5\n" * rows, encoding="utf-8")
+    argv = ["compress", "--input", str(path), "--kernel", "sobolev:s=1,d=1",
+            "--method", "monte-carlo", "--m", str(m), "--seed", "0",
+            "--output", str(tmp_path / "r.csv")]
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "compress", reached)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--allow-large-n" in err
+    with pytest.raises(Reached):
+        cli.main(argv + ["--allow-large-n"])
 
 
 @pytest.mark.parametrize("m", ["0", "-3"])

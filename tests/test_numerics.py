@@ -117,19 +117,35 @@ def test_pinv_recovers_row_space_component(seed, n, rank_frac, log_scale):
 
 
 @pytest.mark.parametrize("size, rank", [(128, 128), (130, 130), (200, 100), (300, 64)])
-def test_pivoted_cholesky_factor_is_the_c_ordered_copy(size, rank):
-    """The slab-by-slab copy of dpstrf's factor has the bits and the C layout
-    of np.ascontiguousarray(c[:, :rank]), at full rank and below it."""
+def test_pivoted_cholesky_factors_in_place(size, rank):
+    """The factor is a view of S whose lower trapezoid has the bits of
+    dpstrf's factor, at full rank and below it."""
     rng = np.random.default_rng(size)
     A = rng.standard_normal((size, rank))
     S = A @ A.T
     tol = size * np.finfo(np.float64).eps * float(np.max(np.diag(S)))
     c, piv, r, info = dpstrf(S.copy().T, tol=tol, lower=1, overwrite_a=1)
     assert info >= 0 and r == rank
-    F, perm = _pivoted_cholesky(S.copy())
-    assert F.flags.c_contiguous
-    assert np.array_equal(F, np.ascontiguousarray(c[:, :r]))
+    F, perm = _pivoted_cholesky(S)
+    assert np.shares_memory(F, S)
+    assert F.shape == (size, rank)
+    assert np.array_equal(np.tril(F), np.tril(c[:, :r]))
     assert np.array_equal(perm, piv - 1)
+
+
+@pytest.mark.parametrize("size, rank", [(2, 1), (130, 130), (200, 100), (300, 64)])
+def test_pinv_apply_in_place_has_the_bits_of_the_copy(size, rank):
+    rng = np.random.default_rng(size + rank)
+    A = rng.standard_normal((size, rank))
+    K, b = A @ A.T, rng.standard_normal(size)
+    expected = pinv_apply(K, b)
+    assert np.array_equal(pinv_apply(K.copy(), b, overwrite_a=True), expected)
+    # an array that cannot be factored in place is copied and left as it was
+    read_only = K.copy()
+    read_only.flags.writeable = False
+    for other in (np.asfortranarray(K), read_only):
+        assert np.array_equal(pinv_apply(other, b, overwrite_a=True), expected)
+        assert np.array_equal(other, K)
 
 
 # 1x1, single rows and columns, odd shapes, and larger products: square, one row

@@ -26,6 +26,7 @@ from kquad.bench import load_rule, save_rule
 from kquad.sampling import uniform_subsample
 
 from oracles import gaussian_wce_sq_longdouble, worst_case_witness
+from test_numerics import _peak_bytes
 
 EPS = np.finfo(np.float64).eps
 
@@ -490,9 +491,10 @@ def test_discrete_target_on_the_data_takes_one_kernel_mean_pass(monkeypatch):
     kern = laplacian(0.8)
     passes = []
 
-    def counted(*args):
-        passes.append(args)
-        return kernels._kernel_matvec(*args)
+    def counted(kernel, X, Y, b):
+        if len(Y) == n:  # a pass over the target's points, not the error's over the nodes
+            passes.append(Y)
+        return kernels._kernel_matvec(kernel, X, Y, b)
 
     monkeypatch.setattr(quadrature, "_kernel_matvec", counted)
     embedding = target_embedding(kern, X, TargetMeasure.discrete(X, np.full(n, 1.0 / n)))
@@ -500,6 +502,18 @@ def test_discrete_target_on_the_data_takes_one_kernel_mean_pass(monkeypatch):
     assert len(passes) == 1
     assert rule.error == next(compress_grid(X, kern, "uniform", (m,), 0)).error
     assert len(passes) == 2
+
+
+@pytest.mark.parametrize("method, share", [("uniform", 1.25), ("monte-carlo", 0.25)])
+def test_a_rule_holds_at_most_one_node_gram(method, share):
+    """The node Gram is factored in place, and monte-carlo builds none: its
+    error's w^T K_m w comes from the kernel matvec's walk."""
+    m = 1024
+    X = np.random.default_rng(0).random((2 * m, 1))
+    kern = periodic_sobolev(1, 1)
+    embedding = target_embedding(kern, X, TargetMeasure.unit_cube())
+    peak = _peak_bytes(lambda: next(compress_grid(X, kern, method, (m,), 0, embedding)))
+    assert peak < share * 8 * m * m
 
 
 def test_target_embedding_on_other_points_is_moments_and_self_product():
