@@ -44,10 +44,19 @@ _METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
 _DATA_STREAM = 101
 _BANDWIDTH_STREAM = 102
 
-# The largest n that kquad run and kquad compress take (and, in compress, the
-# largest m) unless large sizes are allowed: the kernel mean is quadratic in
-# n, the node Gram and the error's walk in m.
+# The largest data-target n, and m, that kquad run and kquad compress take unless
+# allowed: the kernel mean is quadratic in n, the node Gram and error walk in m.
 LARGE_N = 2**14
+
+
+def check_size(name: str, value: int, allow: bool) -> None:
+    """Refuse an n or m above ``LARGE_N`` unless ``allow``."""
+    if value > LARGE_N and not allow:
+        raise InputError(
+            f"{name} = {value} exceeds {LARGE_N} and the kernel passes are quadratic in {name}; "
+            "set allow_large_n = true or pass --allow-large-n to proceed"
+        )
+
 
 # Dataset spec schemas: kind -> accepted keys and their value parsers.
 _SYNTHETIC = {
@@ -82,7 +91,7 @@ class ExperimentConfig:
     target: str = "data"  # data | unit-cube
     timings: bool = True  # False zeroes the time columns for byte-stable CSVs
     workers: int = 1  # accepted, must be >= 1; cells run one after another
-    allow_large_n: bool = False  # lift the n <= LARGE_N cap on quadratic error evaluation
+    allow_large_n: bool = False  # lift the n, m <= LARGE_N cap on the quadratic kernel passes
 
 
 @dataclass(frozen=True)
@@ -312,11 +321,9 @@ def _validate(config: ExperimentConfig, n: int) -> tuple[tuple, dict]:
     heads = {method: parse_spec(method, "method", METHODS)[0] for method in config.methods}
     if config.target not in ("data", "unit-cube"):
         raise InputError("target must be 'data' or 'unit-cube'")
-    if config.target == "data" and n > LARGE_N and not config.allow_large_n:
-        raise InputError(
-            f"n = {n} exceeds 2^14 and the discrete-target error evaluation is "
-            "quadratic in n; set allow_large_n = true to proceed"
-        )
+    if config.target == "data":
+        check_size("n", n, config.allow_large_n)
+    check_size("m", grid[-1], config.allow_large_n)
     return grid, heads
 
 

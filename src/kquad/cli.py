@@ -70,22 +70,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _check_size(name: str, value: int, allow: bool) -> None:
-    """Refuse an n or m above ``bench.LARGE_N`` unless ``allow``."""
-    if value > bench.LARGE_N and not allow:
-        raise InputError(
-            f"{name} = {value} exceeds 2^14 and the kernel passes are quadratic in {name}; "
-            "pass --allow-large-n to proceed"
-        )
-
-
 def _cmd_compress(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
-    _check_size("m", args.m, args.allow_large_n)
+    bench.check_size("m", args.m, args.allow_large_n)
     _check_output(args.output)
     points = bench.load_csv(args.input).points
-    _check_size("n", points.shape[0], args.allow_large_n)
+    bench.check_size("n", points.shape[0], args.allow_large_n)
     if args.standardize:
         points = bench.standardize_points(points)
     kernel = parse_kernel(args.kernel, points=points, rng=args.seed)

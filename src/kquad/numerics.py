@@ -10,17 +10,18 @@ numerical rank.  The spectra that the exact leverage scores and the
 covariance spectrum need come from scipy's ``eigh`` and ``eigvalsh``, called
 where they are used.
 
-One BLAS builds every rule.  numpy and scipy each ship their own OpenBLAS
-(scipy-openblas64 0.3.31 and scipy-openblas32 0.3.30 under numpy 2.4.6 and
-scipy 1.17.1), and each keeps a worker thread spinning for a while after a
-threaded call.  On a 2-core machine a scipy LAPACK call made just after a
-threaded numpy product waits for numpy's spinning worker: a 256 x 256
-``dpstrf`` took 3.3-3.6 ms after a numpy ``K @ b`` against 0.37 ms after
-scipy's ``dgemv`` or with no product before it.  So the products on the
-path that builds rules (the arls pilot and the weight solve) call scipy's
-BLAS through ``matvec`` and ``syrk``, which give the same bits as numpy's
-``A @ x`` and ``B @ B.T``, and numpy's pool never wakes between two scipy
-LAPACK calls.  Vector dot products stay with numpy: OpenBLAS runs them on
+The products of the arls pilot and the weight solve use scipy's BLAS.  numpy
+and scipy each ship their own OpenBLAS (scipy-openblas64 0.3.31 and
+scipy-openblas32 0.3.30 under numpy 2.4.6 and scipy 1.17.1), and each keeps
+a worker thread spinning for a while after a threaded call.  On a 2-core
+machine a scipy LAPACK call made just after a threaded numpy product waits
+for numpy's spinning worker: a 256 x 256 ``dpstrf`` took 3.3-3.6 ms after a
+numpy ``K @ b`` against 0.37 ms after scipy's ``dgemv`` or with no product
+before it.  So those products go through ``matvec`` and ``syrk`` (numpy's
+bits for ``A @ x`` and ``B @ B.T``), and numpy's pool never wakes between
+two scipy LAPACK calls.  Greedy's step ``coeffs[:, :k] @ coeffs[j, :k]`` is
+numpy's BLAS (``dgemv`` would copy the strided slice); it runs before a
+rule's solves.  Vector dot products stay with numpy: OpenBLAS runs them on
 one thread below 10000 entries.  The kernel mean and the error's w^T K_m w
 take no matrix product at all: both are walks of ``kernels._kernel_matvec``.
 """
@@ -100,7 +101,8 @@ def pinv_apply(A, b, overwrite_a: bool = False) -> np.ndarray:
         raise InputError("pinv_apply expects a square matrix")
     if M.shape[0] != rhs.shape[0]:
         raise InputError(f"shape mismatch: {M.shape} vs {rhs.shape}")
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+    # min and max are NaN or +-inf if any entry is, so no m x m mask is made
+    if not (np.isfinite([M.min(initial=0.0), M.max(initial=0.0)]).all() and np.isfinite(rhs).all()):
         raise InputError("matrix or right-hand side contains non-finite entries")
     in_place = overwrite_a and M.flags.c_contiguous and M.flags.writeable
     F, perm = _pivoted_cholesky(M if in_place else M.copy())

@@ -368,6 +368,21 @@ def test_synthetic_config_is_checked_before_the_points_are_drawn(monkeypatch):
         run_experiment(small_config(n=8))
     with pytest.raises(InputError, match="need n >= 1, got 0"):
         run_experiment(small_config(n=0))
+    # the m cap holds under the unit-cube target too, where n is not capped
+    cube = small_config(dataset="uniform_cube:d=1", kernel="sobolev:s=1,d=1", target="unit-cube",
+                        n=16400, m_grid=(8, 2**14 + 1))
+    with pytest.raises(InputError, match="m = 16385 exceeds 16384.*allow_large_n"):
+        run_experiment(cube)
+
+
+def test_allow_large_n_lifts_the_m_cap(monkeypatch):
+    monkeypatch.setattr(bench, "LARGE_N", 8)  # a cap that a small Gram crosses
+    cube = small_config(dataset="uniform_cube:d=1", kernel="sobolev:s=1,d=1", target="unit-cube",
+                        n=32, m_grid=(4, 9), trials=1, methods=("uniform",))
+    with pytest.raises(InputError, match="m = 9 exceeds 8"):
+        run_experiment(cube)
+    cube.allow_large_n = True
+    assert len(run_experiment(cube).rows) == 2
 
 
 def test_unit_cube_target_requires_sobolev():

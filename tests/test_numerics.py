@@ -71,6 +71,9 @@ def test_pinv_validation():
         pinv_apply(np.eye(2), [1.0, 2.0, 3.0])
     with pytest.raises(InputError):
         pinv_apply(np.array([[1.0, np.nan], [np.nan, 1.0]]), [1.0, 1.0])
+    for v in (np.inf, -np.inf):  # the check reads A's min and max
+        with pytest.raises(InputError):
+            pinv_apply(np.array([[1.0, v], [v, 1.0]]), [1.0, 1.0])
     with pytest.raises(InputError):
         pinv_apply(np.eye(2), [1.0, np.inf])
 
@@ -172,6 +175,13 @@ def _peak_bytes(f, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_pinv_apply_in_place_makes_no_m_by_m_array():
+    # no copy of the Gram, and no boolean mask for its finiteness check
+    A = np.random.default_rng(0).standard_normal((1024, 1024))
+    K = A @ A.T  # 8 MiB, full rank
+    assert _peak_bytes(pinv_apply, K, np.ones(1024), True) < K.nbytes // 8
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
