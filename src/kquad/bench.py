@@ -260,7 +260,7 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
 
     ``uniform_cube:d=<int>`` draws n points uniformly from [0, 1)^d;
     ``gaussian_mixture:d=<int>,k=<int>,sep=<float>`` draws from k unit-variance
-    components with centers ``sep`` apart, which needs k <= n.
+    components with centers ``sep`` apart, which needs k <= n and a finite sep.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -274,6 +274,8 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
     d, k, sep = params.get("d", 2), params.get("k", 3), params.get("sep", 5.0)
     if k > n:  # before any of its k centres is drawn
         raise InputError(f"gaussian_mixture needs k <= n, got k = {k}, n = {n}")
+    if not math.isfinite(sep):
+        raise InputError(f"gaussian_mixture needs a finite sep, got sep = {sep}")
     centers = _mixture_centers(d, k, sep, rng)
     labels = rng.integers(0, k, size=n)
     pts = centers[labels] + rng.standard_normal((n, d))

@@ -14,16 +14,18 @@ Three positive-definite families are supported:
   1-d kernels, which keeps the uniform-measure moments equal to one.
 
 All evaluations go through one in-place pairwise code path, ``_pairwise_block``.
-The Gaussian and Laplacian blocks take their squared distances from scipy's
+The Gaussian block takes its squared distances from scipy's
 ``cdist(A, B, "sqeuclidean")``, which adds (a_k - b_k)^2 in order
-k = 0, ..., d-1 (a test pins this against the sequential sum), and the
-Sobolev product multiplies its per-coordinate factors in the same order.
-(a - b)^2 == (b - a)^2 and |a - b| == |b - a|, so k(x, y) == k(y, x) holds
-bit-exactly, and no (a, b, d) difference tensor is ever formed: a block's
-temporaries are (a, b) arrays.  ``median_heuristic`` takes its distances from
-scipy's ``pdist``, the same sum followed by a square root.  Both reject
-coordinates above 2^500 in absolute value: each (a_k - b_k)^2 is then at most
-2^1002, so squared distances are finite for d < 2^22.
+k = 0, ..., d-1 (a test pins this against the sequential sum); the Laplacian
+block takes ``cdist(A, B, "euclidean")``, the same sum followed by a square
+root; and the Sobolev product multiplies its per-coordinate factors in the
+same order.  (a - b)^2 == (b - a)^2 and |a - b| == |b - a|, so
+k(x, y) == k(y, x) holds bit-exactly, and no (a, b, d) difference tensor is
+ever formed: a block's temporaries are (a, b) arrays.  ``median_heuristic``
+takes its distances from scipy's ``pdist``, the same sum and square root,
+and selects their median in place.  Both reject coordinates above 2^500 in
+absolute value: each (a_k - b_k)^2 is then at most 2^1002, so squared
+distances are finite for d < 2^22.
 
 ``_fill`` evaluates an (a, b) array in row strips of about _STRIP values that
 stay in cache; ``gram`` is one fill of its output.  The kernel matvec
@@ -193,14 +195,13 @@ def _pairwise_block(kernel: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.nd
     # imported here: scipy.spatial takes ~130 ms to load, which Sobolev-only runs skip
     from scipy.spatial.distance import cdist
 
-    cdist(A, B, "sqeuclidean", out=out)
+    cdist(A, B, "sqeuclidean" if kernel.family == "gaussian" else "euclidean", out=out)
     # distances far above sigma overflow to -inf, and exp(-inf) = 0 is their value
     with np.errstate(over="ignore"):
         if kernel.family == "gaussian":  # -0.5 * d2 / sigma^2, in that order
             out *= -0.5
             out /= kernel.bandwidth**2
-        else:  # -sqrt(d2) / sigma
-            np.sqrt(out, out=out)
+        else:  # -d / sigma
             out /= -kernel.bandwidth
     np.exp(out, out=out)
 
@@ -267,7 +268,9 @@ def median_heuristic(X, rng=0) -> float:
     """Median pairwise Euclidean distance over a random subset of
     _MEDIAN_SUBSET points of X (all of X if it has fewer).
 
-    The distances of the subset's pairs come from scipy's ``pdist``.
+    The distances of the subset's pairs come from scipy's ``pdist``, and one
+    in-place partition of that array selects their median: the middle value,
+    or (lo + hi) / 2 of the middle two, as ``np.median`` takes it, bit for bit.
     The subset is drawn by ``np.random.default_rng(rng)``; raises if the
     median comes out zero (a bandwidth must be positive).
     """
@@ -279,7 +282,10 @@ def median_heuristic(X, rng=0) -> float:
     if n < 2:
         raise InputError("median heuristic needs at least two points")
     idx = np.random.default_rng(rng).permutation(n)[:_MEDIAN_SUBSET]
-    med = float(np.median(pdist(P[idx])))
+    d = pdist(P[idx])  # finite under the coordinate bound, so no NaN to look for
+    k = d.size // 2
+    d.partition(k)
+    med = float(d[k] if d.size % 2 else (d[:k].max() + d[k]) / 2.0)
     if med <= 0.0:
         raise InputError("median inter-point distance is zero; bandwidth must be positive")
     return med

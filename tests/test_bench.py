@@ -180,6 +180,9 @@ def test_gen_errors():
         gen_synthetic("uniform_cube:d=1", 0, seed=0)
     with pytest.raises(InputError):
         gen_synthetic("uniform_cube:d=1,extra=9", 5, seed=0)
+    for sep in ("inf", "-inf", "nan"):  # the message names sep, not the points it would make
+        with pytest.raises(InputError, match=f"finite sep, got sep = {sep}$"):
+            gen_synthetic(f"gaussian_mixture:d=2,k=3,sep={sep}", 300, seed=0)
 
 
 # ---------------------------------------------------------------- experiments

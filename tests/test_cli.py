@@ -250,6 +250,17 @@ def test_compress_negative_seed_exit_code(data_csv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --seed must be >= 0")
 
 
+def test_run_nonfinite_sep_exit_code(tmp_path, capsys):
+    # standardizing the points of an infinite sep would warn before any error line
+    cfg = write_run_config(
+        tmp_path, dataset="gaussian_mixture:d=2,k=3,sep=-inf", kernel="gaussian:sigma=median",
+        target="data", standardize="true",
+    )
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: gaussian_mixture needs a finite sep, got sep = -inf\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_run_nonpositive_workers_exit_code(tmp_path, capsys, workers):
     assert cli.main(["run", str(write_run_config(tmp_path, workers=workers))]) == 1

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,32 @@ def test_median_heuristic_matches_einsum_oracle(d):
     assert got == float(np.median(pairs))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 50, 1500])
+def test_median_heuristic_is_np_median_bit_for_bit(n):
+    from scipy.spatial.distance import pdist
+
+    # 1, 3, 6, 1225 and 499500 distances: odd and even counts, the last of the
+    # 1000-point subset; the 50 rows are 10 distinct ones 5 times, so distances tie
+    X = np.random.default_rng(n).standard_normal((n, 3))
+    if n == 50:
+        X = np.repeat(X[:10], 5, axis=0)
+    S = X[np.random.default_rng(n).permutation(n)[:1000]]
+    assert median_heuristic(X, rng=n) == float(np.median(pdist(S)))
+
+
+def test_median_heuristic_selects_in_place():
+    # the peak is pdist's one array of 499500 distances, not that and a copy
+    X = np.random.default_rng(4).standard_normal((2048, 8))
+    median_heuristic(X)  # scipy.spatial is imported outside the traced call
+    tracemalloc.start()
+    try:
+        median_heuristic(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 499500 * 8
+
+
 def test_median_heuristic_errors():
     with pytest.raises(InputError):
         median_heuristic(np.zeros((5, 2)))
@@ -301,6 +328,18 @@ def test_radial_coordinate_bound():
         with pytest.raises(InputError, match=re.escape("|coordinates| <= 2^500")):
             call()
     assert np.all(np.isfinite(gram(periodic_sobolev(1, 2), X)))
+    # Laplacian values from cdist's distances at extreme scales: squares that
+    # underflow, large ones, and the bound itself; a -d / sigma that overflows gives 0
+    rng = np.random.default_rng(13)
+    A, B = rng.uniform(-1.0, 1.0, (9, 3)), rng.uniform(-1.0, 1.0, (7, 3))
+    for scale in (1e-300, 1e150, 2.0**500):
+        for sigma in (scale, 1e-300):
+            kern, As, Bs = laplacian(sigma), A * scale, B * scale
+            with np.errstate(over="ignore"):
+                expected = radial_block(kern, sq_dists_sequential(As, Bs))
+            assert np.array_equal(gram(kern, As, Bs), expected)
+            if scale > 1.0 and sigma < 1.0:
+                assert np.all(expected == 0.0)
 
 
 def test_parse_kernel():
