@@ -282,23 +282,26 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
     return Dataset(points=pts)
 
 
-def _resolve_dataset(config: ExperimentConfig) -> Dataset:
+def _resolve_dataset(config: ExperimentConfig) -> tuple[np.ndarray, tuple, dict]:
     kind, params = parse_spec(config.dataset, "dataset", _DATASETS)
     if kind == "csv":
         if not params.get("path"):
             raise InputError("csv dataset needs path=<file>")
-        ds = load_csv(params["path"])
+        points = load_csv(params["path"]).points
     else:
         if config.n is None or config.n < 1:
             raise InputError(f"synthetic datasets need n >= 1, got {config.n}")
-        _validate(config, config.n)  # before any of the n points is drawn
+        grid, heads = _validate(config, config.n)  # before any of the n points is drawn
         seed = config.data_seed
         if seed is None:
             seed = int(derive_rng(config.master_seed, _DATA_STREAM).integers(2**63))
-        ds = gen_synthetic(config.dataset, config.n, seed)
+        points = gen_synthetic(config.dataset, config.n, seed).points
     if config.standardize:
-        ds.points = standardize_points(ds.points)
-    return ds
+        points = standardize_points(points)
+    points = _as_points(points)
+    if kind == "csv":
+        grid, heads = _validate(config, points.shape[0])
+    return points, grid, heads
 
 
 def _validate(config: ExperimentConfig, n: int) -> tuple[tuple, dict]:
@@ -335,8 +338,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         seed = getattr(config, key)
         if seed is not None and seed < 0:
             raise InputError(f"{key} must be >= 0, got {seed}")
-    points = _as_points(_resolve_dataset(config).points)
-    grid, heads = _validate(config, points.shape[0])
+    points, grid, heads = _resolve_dataset(config)
 
     kernel = parse_kernel(
         config.kernel, points=points, rng=derive_rng(config.master_seed, _BANDWIDTH_STREAM)

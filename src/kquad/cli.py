@@ -4,7 +4,7 @@
     kquad compress --input data.csv ...     # one dataset -> one rule CSV
     kquad rates --summary results_summary.csv --model <curve spec>
 
-Exit codes: 0 success, 1 input error, 2 numerical failure.
+Exit codes: 0 success, 1 input error, 2 numerical failure; either failure prints ``error: ...``.
 """
 
 from __future__ import annotations
@@ -127,12 +127,9 @@ def main(argv=None) -> int:
         if args.command == "compress":
             return _cmd_compress(args)
         return _cmd_rates(args)
-    except (InputError, OSError, MemoryError) as exc:
+    except (InputError, OSError, MemoryError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 if __name__ == "__main__":

@@ -71,10 +71,11 @@ def _pivoted_cholesky(S: np.ndarray):
     if info < 0:
         raise NumericalError(f"dpstrf rejected argument {-info}")
     # dpstrf left F^T in S's upper triangle; mirror it down in 64-column slabs,
-    # which stay in cache (numpy buffers the overlapping diagonal block)
+    # which stay in cache; only the overlapping diagonal block goes through a copy
     for j in range(0, rank, 64):
         w = min(64, rank - j)
-        S[j:, j : j + w] = S[j : j + w, j:].T
+        S[j + w :, j : j + w] = S[j : j + w, j + w :].T
+        S[j : j + w, j : j + w] = S[j : j + w, j : j + w].T.copy()
     return S[:, :rank], piv - 1
 
 

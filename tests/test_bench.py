@@ -239,21 +239,21 @@ def test_reported_error_never_beats_optimal_weights():
     res = run_experiment(cfg)
     from kquad.bench import _BANDWIDTH_STREAM, _METHOD_IDS, _resolve_dataset
 
-    ds = _resolve_dataset(cfg)
+    points, _, _ = _resolve_dataset(cfg)
     kern = parse_kernel(
-        cfg.kernel, points=ds.points, rng=derive_rng(cfg.master_seed, _BANDWIDTH_STREAM)
+        cfg.kernel, points=points, rng=derive_rng(cfg.master_seed, _BANDWIDTH_STREAM)
     )
-    target = TargetMeasure.discrete(ds.points)
+    target = TargetMeasure.discrete(points)
     for row in res.rows:
         mid = _METHOD_IDS[row.method]
         draw = derive_rng(cfg.master_seed, mid, row.m, row.trial)
         if row.method == "arls":  # one pilot per trial, from the score stream
             pilot_rng = derive_rng(cfg.master_seed, mid, row.trial)
-            scores = approx_rls_pilot(ds.points, kern, rng=pilot_rng)
+            scores = approx_rls_pilot(points, kern, rng=pilot_rng)
             idx = sample_proportional(scores, row.m, draw)
         else:
             idx = uniform_subsample(200, row.m, row.method != "uniform", draw)
-        best = optimal_weights(kern, ds.points[idx], target)
+        best = optimal_weights(kern, points[idx], target)
         assert row.error >= worst_case_error(best, target, kern) - 1e-10
 
 
@@ -274,12 +274,12 @@ def test_greedy_rows_match_standalone_compress():
     # both selections stop short of 64 nodes on this data
     cfg = small_config(methods=("fp-greedy", "p-greedy"), m_grid=(4, 16, 64), trials=1)
     res = run_experiment(cfg)
-    ds = _resolve_dataset(cfg)
+    points, _, _ = _resolve_dataset(cfg)
     kern = parse_kernel(
-        cfg.kernel, points=ds.points, rng=derive_rng(cfg.master_seed, _BANDWIDTH_STREAM)
+        cfg.kernel, points=points, rng=derive_rng(cfg.master_seed, _BANDWIDTH_STREAM)
     )
     for row in res.rows:
-        assert repr(row.error) == repr(compress(ds.points, kern, row.method, row.m).error)
+        assert repr(row.error) == repr(compress(points, kern, row.method, row.m).error)
 
 
 def test_greedy_truncation_is_logged(caplog):

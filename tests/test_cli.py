@@ -1,17 +1,56 @@
+import csv
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from kquad import bench, cli
 from kquad.bench import load_csv, load_rule, read_summary_csv
 from kquad.errors import NumericalError
-from kquad.kernels import gaussian
+from kquad.kernels import parse_kernel
 from kquad.quadrature import TargetMeasure, worst_case_error
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _compress(path, out, *extra, kernel="gaussian:sigma=1", method="uniform", m=4, seed=0):
+    """The argv of ``kquad compress``; ``extra`` flags go last."""
+    return ["compress", "--input", str(path), "--kernel", kernel, "--method", method,
+            "--m", str(m), "--seed", str(seed), "--output", str(out), *extra]
+
+
+def _refused(code, capsys, pattern):
+    """Exit 1, nothing on stdout, and one stderr line that matches ``error:`` +
+    ``pattern``; returns the line.
+
+    In process an escaped exception fails the test, and pytest's
+    ``error::RuntimeWarning`` filter raises any numerics warning."""
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "", (out, err)
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert re.match("error:" + pattern, err), err
+    return err
+
+
+def _python(*args, env=None, timeout=60):
+    """``python -W error::RuntimeWarning ARGS`` in a process of its own, on
+    this checkout's kquad: for a check that sets the environment or needs a
+    time limit."""
+    env = dict(os.environ, PYTHONPATH=SRC, **(env or {}))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _normal(seed, shape):
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 @pytest.fixture
 def data_csv(tmp_path):
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((60, 2))
+    pts = _normal(0, (60, 2))
     path = tmp_path / "data.csv"
     path.write_text(
         "\n".join(",".join(repr(float(v)) for v in row) for row in pts) + "\n", encoding="utf-8"
@@ -19,43 +58,44 @@ def data_csv(tmp_path):
     return path, pts
 
 
-def test_compress_command(data_csv, tmp_path, capsys):
-    path, pts = data_csv
-    out = tmp_path / "rule.csv"
-    code = cli.main(
-        [
-            "compress",
-            "--input", str(path),
-            "--kernel", "gaussian:sigma=0.8",
-            "--method", "uniform",
-            "--m", "10",
-            "--seed", "5",
-            "--output", str(out),
-        ]
-    )
-    assert code == 0
+@pytest.mark.parametrize(
+    "points, quoted, kernel, method, m, seed",
+    [
+        pytest.param(_normal(0, (60, 2)), False, "gaussian:sigma=0.8", "uniform", 10, 5,
+                     id="uniform"),
+        pytest.param(_normal(0, (200, 2)), False, "gaussian:sigma=median",
+                     "arls:lambda=auto,pilot=32", 16, 1, id="arls-auto-lambda"),
+        # 20 distinct rows, each 10 times: the arls pilot Gram is exactly rank-deficient
+        pytest.param(np.tile(_normal(1, (20, 2)), (10, 1)), False, "gaussian:sigma=median",
+                     "arls", 16, 1, id="arls-duplicate-rows"),
+        # 2500 rows: three kernel tiles per side, the last one partial
+        pytest.param(_normal(2, (2500, 3)), False, "laplacian:sigma=median", "uniform", 32, 1,
+                     id="laplacian-partial-tiles"),
+        # every cell quoted, CRLF line endings: the csv module reads them
+        pytest.param(_normal(3, (200, 2)), True, "gaussian:sigma=median", "uniform", 16, 1,
+                     id="quoted-crlf"),
+    ],
+)
+def test_compress_command(tmp_path, capsys, points, quoted, kernel, method, m, seed):
+    path, out = tmp_path / "data.csv", tmp_path / "rule.csv"
+    if quoted:
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f, quoting=csv.QUOTE_ALL).writerows(points.tolist())
+    else:
+        np.savetxt(path, points, delimiter=",")
+    assert cli.main(_compress(path, out, kernel=kernel, method=method, m=m, seed=seed)) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + m
     rule = load_rule(out)
-    assert len(rule) == 10
-    err = worst_case_error(rule, TargetMeasure.discrete(pts), gaussian(0.8))
-    reported = capsys.readouterr().out
-    assert f"{err:.6g}" in reported
+    kern = parse_kernel(kernel, points=points, rng=seed)
+    err = worst_case_error(rule, TargetMeasure.discrete(points), kern)
+    assert capsys.readouterr().out == f"wrote {m} nodes to {out}; worst-case error {err:.6g}\n"
 
 
 def test_compress_greedy_method(data_csv, tmp_path):
     path, _ = data_csv
     out = tmp_path / "rule.csv"
-    code = cli.main(
-        [
-            "compress",
-            "--input", str(path),
-            "--kernel", "gaussian:sigma=median",
-            "--method", "fp-greedy",
-            "--m", "6",
-            "--seed", "1",
-            "--output", str(out),
-        ]
-    )
-    assert code == 0
+    assert cli.main(_compress(path, out, kernel="gaussian:sigma=median", method="fp-greedy",
+                              m=6, seed=1)) == 0
     assert len(load_rule(out)) == 6
 
 
@@ -66,7 +106,7 @@ def test_run_and_rates_commands(tmp_path, capsys):
         f"""
 dataset = uniform_cube:d=1
 kernel = sobolev:s=1,d=1
-methods = uniform, monte-carlo
+methods = uniform, monte-carlo, fp-greedy
 m_grid = 8, 16, 32
 trials = 3
 master_seed = 2
@@ -81,7 +121,7 @@ output = {raw}
     summary = tmp_path / "res_summary.csv"
     assert raw.exists() and summary.exists()
     rows = read_summary_csv(summary)
-    assert {r.method for r in rows} == {"uniform", "monte-carlo"}
+    assert {r.method for r in rows} == {"uniform", "monte-carlo", "fp-greedy"}
 
     overlay = tmp_path / "overlay.csv"
     code = cli.main(
@@ -89,44 +129,22 @@ output = {raw}
     )
     assert code == 0
     printed = capsys.readouterr().out
-    assert "fitted slope" in printed
+    # f/P greedy under the unit-cube target interpolates that target's embedding
+    assert "fp-greedy: fitted slope" in printed
     lines = overlay.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "method,m,error_median,predicted_error"
-    assert len(lines) == 1 + 2 * 3
+    assert len(lines) == 1 + 3 * 3
 
 
-def test_input_error_exit_code(tmp_path):
-    assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 1
-    assert (
-        cli.main(
-            [
-                "compress",
-                "--input", str(tmp_path / "missing.csv"),
-                "--kernel", "gaussian:sigma=1",
-                "--method", "uniform",
-                "--m", "4",
-                "--seed", "0",
-                "--output", str(tmp_path / "r.csv"),
-            ]
-        )
-        == 1
-    )
+def test_input_error_exit_code(tmp_path, capsys):
+    _refused(cli.main(["run", str(tmp_path / "missing.cfg")]), capsys, ".*missing.cfg")
+    code = cli.main(_compress(tmp_path / "missing.csv", tmp_path / "r.csv"))
+    _refused(code, capsys, ".*missing.csv")
 
 
-def test_bad_method_exit_code(data_csv, tmp_path):
+def test_bad_method_exit_code(data_csv, tmp_path, capsys):
     path, _ = data_csv
-    code = cli.main(
-        [
-            "compress",
-            "--input", str(path),
-            "--kernel", "gaussian:sigma=1",
-            "--method", "dpp",
-            "--m", "4",
-            "--seed", "0",
-            "--output", str(tmp_path / "r.csv"),
-        ]
-    )
-    assert code == 1
+    _refused(cli.main(_compress(path, tmp_path / "r.csv", method="dpp")), capsys, ".*dpp")
 
 
 def test_usage_error_exit_code():
@@ -134,7 +152,7 @@ def test_usage_error_exit_code():
     assert cli.main(["compress", "--input", "x.csv"]) == 1
 
 
-def test_numerical_error_exit_code(monkeypatch, tmp_path):
+def test_numerical_error_exit_code(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("dataset = d\n", encoding="utf-8")
 
@@ -143,6 +161,7 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli.bench, "parse_config", boom)
     assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: synthetic failure\n"
 
 
 def test_allocation_failure_exit_code(data_csv, tmp_path, capsys, monkeypatch):
@@ -151,25 +170,31 @@ def test_allocation_failure_exit_code(data_csv, tmp_path, capsys, monkeypatch):
 
     path, _ = data_csv
     monkeypatch.setattr(cli, "compress", boom)
-    argv = ["compress", "--input", str(path), "--kernel", "gaussian:sigma=0.8",
-            "--method", "monte-carlo", "--m", "100000000000000", "--seed", "1",
-            "--output", str(tmp_path / "r.csv"), "--allow-large-n"]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err == "error: Unable to allocate 728. TiB for an array\n"
+    argv = _compress(path, tmp_path / "r.csv", "--allow-large-n", kernel="gaussian:sigma=0.8",
+                     method="monte-carlo", m=10**14, seed=1)
+    err = _refused(cli.main(argv), capsys, " Unable to allocate")
+    assert err == "error: Unable to allocate 728. TiB for an array\n"
     monkeypatch.setattr(cli.bench, "parse_config", boom)
-    assert cli.main(["run", str(tmp_path / "x.cfg")]) == 1
-    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    _refused(cli.main(["run", str(tmp_path / "x.cfg")]), capsys, " Unable to allocate")
 
 
-@pytest.mark.parametrize("rows, m", [(64, 2**14 + 1), (2**14 + 1, 8)])
+def test_real_allocation_failure_exit_code(tmp_path):
+    # numpy raises MemoryError for 64 x 10^12 coordinates before it touches any memory
+    cfg = write_run_config(tmp_path, dataset="uniform_cube:d=1000000000000")
+    proc = _python("-m", "kquad.cli", "run", str(cfg))
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: Unable to allocate [^\n]*\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "rows, m", [(64, 2**14 + 1), (2**14 + 1, 8), (64, 300_000), (64, 10**14)]
+)
 def test_compress_large_n_or_m_exit_code(tmp_path, capsys, monkeypatch, rows, m):
     """n or m above 2^14 is refused before any kernel pass, unless
     --allow-large-n lifts the cap; m > n stays legal with replacement."""
     path = tmp_path / "data.csv"
     path.write_text("0.5\n" * rows, encoding="utf-8")
-    argv = ["compress", "--input", str(path), "--kernel", "sobolev:s=1,d=1",
-            "--method", "monte-carlo", "--m", str(m), "--seed", "0",
-            "--output", str(tmp_path / "r.csv")]
+    argv = _compress(path, tmp_path / "r.csv", kernel="sobolev:s=1,d=1", method="monte-carlo", m=m)
 
     class Reached(Exception):
         pass
@@ -178,9 +203,7 @@ def test_compress_large_n_or_m_exit_code(tmp_path, capsys, monkeypatch, rows, m)
         raise Reached
 
     monkeypatch.setattr(cli, "compress", reached)
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--allow-large-n" in err
+    _refused(cli.main(argv), capsys, ".*--allow-large-n")
     with pytest.raises(Reached):
         cli.main(argv + ["--allow-large-n"])
 
@@ -188,23 +211,11 @@ def test_compress_large_n_or_m_exit_code(tmp_path, capsys, monkeypatch, rows, m)
 @pytest.mark.parametrize("m", ["0", "-3"])
 def test_compress_nonpositive_m_exit_code(data_csv, tmp_path, capsys, m):
     path, _ = data_csv
-    code = cli.main(
-        [
-            "compress",
-            "--input", str(path),
-            "--kernel", "gaussian:sigma=1",
-            "--method", "monte-carlo",
-            "--m", m,
-            "--seed", "0",
-            "--output", str(tmp_path / "r.csv"),
-        ]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    _refused(cli.main(_compress(path, tmp_path / "r.csv", method="monte-carlo", m=m)), capsys, "")
 
 
-def write_run_config(tmp_path, **extra):
-    cfg = tmp_path / "exp.cfg"
+def write_run_config(tmp_path, name="exp", **extra):
+    cfg = tmp_path / f"{name}.cfg"
     lines = {
         "dataset": "uniform_cube:d=1",
         "kernel": "sobolev:s=1,d=1",
@@ -223,31 +234,19 @@ def write_run_config(tmp_path, **extra):
 
 def test_run_zero_in_m_grid_exit_code(tmp_path, capsys):
     cfg = write_run_config(tmp_path, methods="monte-carlo", m_grid="0, 8")
-    assert cli.main(["run", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    _refused(cli.main(["run", str(cfg)]), capsys, "")
 
 
 @pytest.mark.parametrize("key", ["master_seed", "data_seed"])
 def test_run_negative_seed_exit_code(tmp_path, capsys, key):
-    assert cli.main(["run", str(write_run_config(tmp_path, **{key: "-1"}))]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key} must be >= 0")
+    code = cli.main(["run", str(write_run_config(tmp_path, **{key: "-1"}))])
+    _refused(code, capsys, f" {key} must be >= 0")
 
 
 def test_compress_negative_seed_exit_code(data_csv, tmp_path, capsys):
     path, _ = data_csv
-    code = cli.main(
-        [
-            "compress",
-            "--input", str(path),
-            "--kernel", "gaussian:sigma=median",
-            "--method", "uniform",
-            "--m", "4",
-            "--seed", "-1",
-            "--output", str(tmp_path / "r.csv"),
-        ]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: --seed must be >= 0")
+    code = cli.main(_compress(path, tmp_path / "r.csv", kernel="gaussian:sigma=median", seed=-1))
+    _refused(code, capsys, " --seed must be >= 0")
 
 
 def test_run_nonfinite_sep_exit_code(tmp_path, capsys):
@@ -256,15 +255,49 @@ def test_run_nonfinite_sep_exit_code(tmp_path, capsys):
         tmp_path, dataset="gaussian_mixture:d=2,k=3,sep=-inf", kernel="gaussian:sigma=median",
         target="data", standardize="true",
     )
-    assert cli.main(["run", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: gaussian_mixture needs a finite sep, got sep = -inf\n"
+    _refused(cli.main(["run", str(cfg)]), capsys,
+             " gaussian_mixture needs a finite sep, got sep = -inf$")
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_run_nonpositive_workers_exit_code(tmp_path, capsys, workers):
-    assert cli.main(["run", str(write_run_config(tmp_path, workers=workers))]) == 1
-    assert capsys.readouterr().err.startswith(f"error: workers must be >= 1, got {workers}")
+    code = cli.main(["run", str(write_run_config(tmp_path, workers=workers))])
+    _refused(code, capsys, f" workers must be >= 1, got {workers}")
+
+
+# sweeps whose CSVs must not follow the BLAS thread count: a 2-d mixture; a 3-d
+# Laplacian mixture at n = 2500, where one BLAS product for the kernel mean rounds
+# differently on one thread and on two; and the unit cube to m = 1024, whose
+# weights come from the node Gram factored in place
+_THREAD_RUNS = {
+    "mixture": dict(dataset="gaussian_mixture:d=2,k=3,sep=5", n="300",
+                    kernel="gaussian:sigma=median", methods="uniform, arls, fp-greedy",
+                    m_grid="8, 16, 32"),
+    "laplacian": dict(dataset="gaussian_mixture:d=3,k=3,sep=5", n="2500",
+                      kernel="laplacian:sigma=median",
+                      methods="uniform, arls, f-greedy, fp-greedy", m_grid="8, 16, 32, 64"),
+    "cube": dict(dataset="uniform_cube:d=1", n="4096", kernel="sobolev:s=1,d=1",
+                 methods="uniform, monte-carlo", m_grid="64, 256, 1024"),
+}
+_RUN_EACH = """import sys
+from kquad import cli
+sys.exit(any(cli.main(["run", cfg]) for cfg in sys.argv[1:]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one process per thread count: OpenBLAS reads it once, at import
+    for threads in ("1", "2"):
+        cfgs = [
+            write_run_config(tmp_path, f"{name}_t{threads}", target="data", master_seed="1",
+                             timings="off", output=str(tmp_path / f"{name}_t{threads}.csv"), **keys)
+            for name, keys in _THREAD_RUNS.items()
+        ]
+        proc = _python("-c", _RUN_EACH, *map(str, cfgs), env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+    for name in _THREAD_RUNS:
+        one, two = (tmp_path / f"{name}_t{t}.csv" for t in (1, 2))
+        assert one.read_bytes() == two.read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -289,17 +322,8 @@ def test_file_error_exit_code(data_csv, tmp_path, capsys, command, flag, binary)
         argv = ["rates", "--summary", str(bad), "--model", "sobolev:s=1,d=1"]
     else:
         files = {"--input": path, "--output": tmp_path / "r.csv", flag: bad}
-        argv = [
-            "compress",
-            "--input", str(files["--input"]),
-            "--kernel", "gaussian:sigma=1",
-            "--method", "uniform",
-            "--m", "4",
-            "--seed", "0",
-            "--output", str(files["--output"]),
-        ]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+        argv = _compress(files["--input"], files["--output"])
+    _refused(cli.main(argv), capsys, "")
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
@@ -311,18 +335,8 @@ def test_compress_checks_output_before_any_work(data_csv, tmp_path, capsys, monk
     monkeypatch.setattr(cli, "compress", never)
     path, _ = data_csv
     out = tmp_path if where == "directory" else tmp_path / "missing" / "rule.csv"
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", "gaussian:sigma=median",
-        "--method", "uniform",
-        "--m", "4",
-        "--seed", "0",
-        "--output", str(out),
-    ]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(out) in err
+    code = cli.main(_compress(path, out, kernel="gaussian:sigma=median"))
+    _refused(code, capsys, ".*" + re.escape(str(out)))
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
@@ -334,10 +348,7 @@ def test_rates_checks_output_before_any_work(tmp_path, capsys, monkeypatch, wher
     out = tmp_path if where == "directory" else tmp_path / "missing" / "overlay.csv"
     argv = ["rates", "--summary", str(_rates_summary(tmp_path)), "--model", "uniform-exp",
             "--output", str(out)]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and str(out) in captured.err
-    assert "fitted slope" not in captured.out
+    _refused(cli.main(argv), capsys, ".*" + re.escape(str(out)))
 
 
 def test_rates_on_a_run_with_a_comma_bearing_method(tmp_path, capsys):
@@ -345,7 +356,7 @@ def test_rates_on_a_run_with_a_comma_bearing_method(tmp_path, capsys):
     cfg = write_run_config(tmp_path, methods=f"uniform, {spec}", m_grid="8, 16, 32")
     assert cli.main(["run", str(cfg)]) == 0
     assert cli.main(["rates", "--summary", str(tmp_path / "res_summary.csv"),
-                     "--model", "sobolev:s=1,d=1"]) == 0
+                     "--model", "uniform-exp"]) == 0
     out = capsys.readouterr().out
     assert f"{spec}: fitted slope" in out and "uniform: fitted slope" in out
 
@@ -402,23 +413,14 @@ def test_malformed_spec_exit_code(data_csv, tmp_path, capsys, command, spec):
     elif command == "run-methods":
         argv = ["run", str(write_run_config(tmp_path, methods=spec))]
     elif command == "compress":
-        argv = [
-            "compress",
-            "--input", str(path),
-            "--kernel", "gaussian:sigma=1",
-            "--method", spec,
-            "--m", "4",
-            "--seed", "0",
-            "--output", str(tmp_path / "r.csv"),
-        ]
+        argv = _compress(path, tmp_path / "r.csv", method=spec)
     else:
         # a third row, so the slope fit passes and the curve itself is evaluated
         summary = _rates_summary(tmp_path)
         third = "uniform,32,0.02,0.0,0.0\n"
         summary.write_text(summary.read_text(encoding="utf-8") + third, encoding="utf-8")
         argv = ["rates", "--summary", str(summary), "--model", spec]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    _refused(cli.main(argv), capsys, "")
 
 
 @pytest.mark.parametrize(
@@ -439,10 +441,8 @@ def test_rates_malformed_summary_exit_code(tmp_path, capsys, row, problem):
     summary = _rates_summary(tmp_path)
     summary.write_text(summary.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
     argv = ["rates", "--summary", str(summary), "--model", "sobolev:s=1,d=1"]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    where = f"{summary}:4: " if row.count("\n") == 0 else ""
-    assert err.startswith(f"error: {where}") and problem in err
+    where = re.escape(f" {summary}:4: ") if row.count("\n") == 0 else ""
+    _refused(cli.main(argv), capsys, f"{where}.*{problem}")
 
 
 # warnings are errors here, so a RuntimeWarning, like an uncaught exception, fails the test
@@ -452,17 +452,8 @@ def test_rates_malformed_summary_exit_code(tmp_path, capsys, row, problem):
 )
 def test_compress_out_of_range_bandwidth_exit_code(data_csv, tmp_path, capsys, kernel):
     path, _ = data_csv
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", kernel,
-        "--method", "uniform",
-        "--m", "4",
-        "--seed", "0",
-        "--output", str(tmp_path / "r.csv"),
-    ]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: kernel bandwidth")
+    _refused(cli.main(_compress(path, tmp_path / "r.csv", kernel=kernel)), capsys,
+             " kernel bandwidth")
 
 
 @pytest.mark.filterwarnings("error")
@@ -485,10 +476,7 @@ def test_rates_out_of_range_curve_exit_code(tmp_path, capsys, first, spec):
         encoding="utf-8",
     )
     argv = ["rates", "--summary", str(summary), "--model", spec]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.splitlines()) == 1 and len(err) < 120  # a 400-digit s is abbreviated
+    assert len(_refused(cli.main(argv), capsys, "")) < 120  # a 400-digit s is abbreviated
 
 
 @pytest.mark.filterwarnings("error")
@@ -499,10 +487,8 @@ def test_rates_nonpositive_m_exit_code(tmp_path, capsys):
         "uniform,0,0.1,0.0,0.0\nuniform,16,0.05,0.0,0.0\nuniform,32,0.02,0.0,0.0\n",
         encoding="utf-8",
     )
-    assert cli.main(["rates", "--summary", str(summary), "--model", "uniform-exp"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: m values must be >= 2")
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+    code = cli.main(["rates", "--summary", str(summary), "--model", "uniform-exp"])
+    _refused(code, capsys, " m values must be >= 2")
 
 
 @pytest.mark.filterwarnings("error")
@@ -511,19 +497,8 @@ def test_compress_overflowing_coordinates_exit_code(tmp_path, capsys, kernel):
     # 1e308 - (-1e308) overflows; coordinates above half the largest float are input errors
     path = tmp_path / "huge.csv"
     path.write_text("1e308,0\n-1e308,0\n0,1\n5,5\n", encoding="utf-8")
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", kernel,
-        "--method", "uniform",
-        "--m", "2",
-        "--seed", "0",
-        "--output", str(tmp_path / "r.csv"),
-    ]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: points need finite coordinates of at most half the largest")
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+    _refused(cli.main(_compress(path, tmp_path / "r.csv", kernel=kernel, m=2)), capsys,
+             " points need finite coordinates of at most half the largest")
 
 
 @pytest.mark.filterwarnings("error")
@@ -540,20 +515,11 @@ def test_compress_radial_kernel_coordinate_bound(tmp_path, capsys, kernel, code)
     # (2e200)^2 overflows a squared distance: k would read 0 and a median sigma inf
     path = tmp_path / "big.csv"
     path.write_text("1e200,0\n-1e200,0\n0,1\n5,5\n", encoding="utf-8")
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", kernel,
-        "--method", "uniform",
-        "--m", "2",
-        "--seed", "0",
-        "--output", str(tmp_path / "r.csv"),
-    ]
-    assert cli.main(argv) == code
-    err = capsys.readouterr().err
+    got = cli.main(_compress(path, tmp_path / "r.csv", kernel=kernel, m=2))
     if code:
-        assert err.startswith("error: points need |coordinates| <= 2^500")
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+        _refused(got, capsys, re.escape(" points need |coordinates| <= 2^500"))
+    else:
+        assert got == 0 and capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("error")
@@ -562,19 +528,9 @@ def test_compress_overflowing_sobolev_diagonal_exit_code(tmp_path, capsys, metho
     # (1 + pi^2 / 3)^500 overflows a float: the kernel is refused before any evaluation
     path = tmp_path / "u500.csv"
     np.savetxt(path, np.random.default_rng(0).random((50, 500)), delimiter=",")
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", "sobolev:s=1,d=500",
-        "--method", method,
-        "--m", "10",
-        "--seed", "1",
-        "--output", str(tmp_path / "r.csv"),
-    ]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: sobolev kernel s=1, d=500: its diagonal overflows")
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+    argv = _compress(path, tmp_path / "r.csv", kernel="sobolev:s=1,d=500", method=method, m=10,
+                     seed=1)
+    _refused(cli.main(argv), capsys, " sobolev kernel s=1, d=500: its diagonal overflows")
 
 
 @pytest.mark.filterwarnings("error")
@@ -582,15 +538,8 @@ def test_compress_fp_greedy_under_a_large_sobolev_diagonal(tmp_path, capsys):
     # k(x, x) = (1 + pi^2 / 3)^300 ~ 1e190: f/P must not square a kernel mean that large
     path = tmp_path / "u300.csv"
     np.savetxt(path, np.random.default_rng(0).random((50, 300)), delimiter=",")
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", "sobolev:s=1,d=300",
-        "--method", "fp-greedy",
-        "--m", "10",
-        "--seed", "1",
-        "--output", str(tmp_path / "r.csv"),
-    ]
+    argv = _compress(path, tmp_path / "r.csv", kernel="sobolev:s=1,d=300", method="fp-greedy",
+                     m=10, seed=1)
     assert cli.main(argv) == 0
     assert "wrote 10 nodes" in capsys.readouterr().out
 
@@ -600,19 +549,9 @@ def test_compress_overflowing_auto_lambda_exit_code(tmp_path, capsys):
     # the largest accepted d: 19 k(x, x) overflows, and the error names lambda=auto
     path = tmp_path / "u487.csv"
     np.savetxt(path, np.random.default_rng(0).random((50, 487)), delimiter=",")
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", "sobolev:s=1,d=487",
-        "--method", "arls",
-        "--m", "10",
-        "--seed", "1",
-        "--output", str(tmp_path / "r.csv"),
-    ]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: lambda=auto overflows under the sobolev kernel s=1, d=487")
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+    argv = _compress(path, tmp_path / "r.csv", kernel="sobolev:s=1,d=487", method="arls", m=10,
+                     seed=1)
+    _refused(cli.main(argv), capsys, " lambda=auto overflows under the sobolev kernel s=1, d=487")
 
 
 @pytest.mark.filterwarnings("error")
@@ -620,18 +559,9 @@ def test_compress_standardize_huge_coordinates(tmp_path, capsys):
     # standardizing divides by the std, whose unscaled squares of 1e300 overflow
     path = tmp_path / "huge.csv"
     path.write_text("1e300,0\n-1e300,0\n0,1\n5,5\n", encoding="utf-8")
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", "sobolev:s=1,d=2",
-        "--method", "uniform",
-        "--m", "4",
-        "--seed", "0",
-        "--output", str(tmp_path / "r.csv"),
-        "--standardize",
-    ]
+    argv = _compress(path, tmp_path / "r.csv", "--standardize", kernel="sobolev:s=1,d=2")
     assert cli.main(argv) == 0
-    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
     nodes = load_rule(tmp_path / "r.csv").nodes
     standardized = bench.standardize_points(load_csv(path).points)
     assert np.array_equal(np.sort(nodes, axis=0), np.sort(standardized, axis=0))
@@ -639,19 +569,11 @@ def test_compress_standardize_huge_coordinates(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_compress_far_points_small_sigma(tmp_path, capsys):
-    # squared distances far above sigma^2 overflow -0.5 d2 / sigma^2 to -inf: k = exp(-inf) = 0
+@pytest.mark.parametrize("kernel", ["gaussian:sigma=1e-150", "laplacian:sigma=1e-305"])
+def test_compress_far_points_small_sigma(tmp_path, capsys, kernel):
+    # distances far above sigma overflow the exponent to -inf: k = exp(-inf) = 0
     path = tmp_path / "far.csv"
     path.write_text("0,0\n1e5,0\n3e5,1\n", encoding="utf-8")
-    argv = [
-        "compress",
-        "--input", str(path),
-        "--kernel", "gaussian:sigma=1e-150",
-        "--method", "uniform",
-        "--m", "2",
-        "--seed", "0",
-        "--output", str(tmp_path / "r.csv"),
-    ]
-    assert cli.main(argv) == 0
-    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert cli.main(_compress(path, tmp_path / "r.csv", kernel=kernel, m=2)) == 0
+    assert capsys.readouterr().err == ""
     assert len(load_rule(tmp_path / "r.csv")) == 2

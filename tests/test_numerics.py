@@ -184,6 +184,12 @@ def test_pinv_apply_in_place_makes_no_m_by_m_array():
     assert _peak_bytes(pinv_apply, K, np.ones(1024), True) < K.nbytes // 8
 
 
+def test_pivoted_cholesky_mirrors_through_a_block_sized_buffer():
+    # the mirror copies a 64 x 64 block at a time, not a 64 x m slab
+    A = np.random.default_rng(0).standard_normal((1024, 1024))
+    assert _peak_bytes(_pivoted_cholesky, A @ A.T) < 128 * 1024
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_matvec_copies_no_contiguous_input(order):
     rng = np.random.default_rng(0)
