@@ -237,6 +237,8 @@ def load_rule(path) -> QuadratureRule:
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-integer index in column 1") from None
     table, indices = np.asarray(values, dtype=np.float64).reshape(-1, width), np.asarray(idx)
+    if not np.all(np.isfinite(table)):
+        raise InputError(f"{path}: non-finite values")
     return QuadratureRule(table[:, 1:-1], table[:, -1], None if np.all(indices < 0) else indices)
 
 

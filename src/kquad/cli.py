@@ -22,8 +22,16 @@ from .quadrature import METHODS, compress
 from .specs import parse_spec
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one ``error:`` line, exit 1.  The
+    subparsers are made of this class too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kquad", description="kernel quadrature benchmark")
+    parser = _Parser(prog="kquad", description="kernel quadrature benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment config file")
@@ -115,13 +123,8 @@ def _cmd_rates(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; those are input errors here
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "compress":

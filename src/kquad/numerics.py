@@ -3,12 +3,10 @@ rank-revealing pseudo-inverse solve.
 
 ``pinv_apply`` needs only a solve, not a spectrum, so it factors with
 LAPACK's pivoted Cholesky (``dpstrf``, about m^3/3 flops; several times
-faster than a full eigendecomposition at m in the thousands).  The
-factorization picks pivots greedily by largest residual diagonal and stops
-when that residual falls to the level of float64 rounding, which reveals the
-numerical rank.  The spectra that the exact leverage scores and the
-covariance spectrum need come from scipy's ``eigh`` and ``eigvalsh``, called
-where they are used.
+faster than a full eigendecomposition at m in the thousands), whose cutoff
+at float64 rounding reveals the numerical rank.  The spectra that the
+exact leverage scores and the covariance spectrum need come from scipy's
+``eigh`` and ``eigvalsh``, called where they are used.
 
 The products of the arls pilot and the weight solve use scipy's BLAS.  numpy
 and scipy each ship their own OpenBLAS (scipy-openblas64 0.3.31 and
@@ -58,39 +56,30 @@ def syrk(B: np.ndarray) -> np.ndarray:
 def _pivoted_cholesky(S: np.ndarray):
     """Pivoted Cholesky P^T S P = F F^T of a C-contiguous symmetric float64
     array S, in place: ``dpstrf`` overwrites S through its Fortran-ordered
-    transpose, and the factor is then mirrored into S's own lower triangle.
-
-    It stops once the largest residual diagonal is at most
+    transpose.  It stops once the largest residual diagonal is at most
     ``size * eps * max diag(S)``, LAPACK's own cutoff: the rounding left by
-    the elimination steps before it.  Returns the size x r factor F, r the
-    numerical rank, as the view ``S[:, :r]``, whose lower trapezoid holds F
-    (entries above it are not F), and the pivots.
+    the elimination steps before it.  Returns the size x r factor F (r the
+    numerical rank) where dpstrf wrote it, as the Fortran-contiguous view
+    ``S.T[:, :r]`` whose lower trapezoid holds F, and the pivots.
     """
     tol = S.shape[0] * float(np.finfo(np.float64).eps) * float(np.max(np.diag(S), initial=0.0))
     c, piv, rank, info = dpstrf(S.T, tol=tol, lower=1, overwrite_a=1)
     if info < 0:
         raise NumericalError(f"dpstrf rejected argument {-info}")
-    # dpstrf left F^T in S's upper triangle; mirror it down in 64-column slabs,
-    # which stay in cache; only the overlapping diagonal block goes through a copy
-    for j in range(0, rank, 64):
-        w = min(64, rank - j)
-        S[j + w :, j : j + w] = S[j : j + w, j + w :].T
-        S[j : j + w, j : j + w] = S[j : j + w, j : j + w].T.copy()
-    return S[:, :rank], piv - 1
+    return S.T[:, :rank], piv - 1
 
 
 def pinv_apply(A, b, overwrite_a: bool = False) -> np.ndarray:
     """Minimum-norm solution A^+ b for symmetric PSD A.
 
-    A is factored as P^T A P = F F^T by pivoted Cholesky, which reads only
-    the upper triangle of A (diagonal included) and stops once the largest
-    residual diagonal is at most ``size * eps * max diag(A)``; the number of
-    steps taken is the numerical rank r.  At full rank the solve is two
-    triangular solves.  Below full rank the m x r factor F goes through a
-    thin QR, F = Q R, and the result is Q (R R^T)^-1 Q^T b: the minimum-norm
-    solution of the truncated system, so weight on duplicate rows is split
-    evenly.  An all-zero A yields the zero vector (minimum-norm convention),
-    not an error.
+    A is factored as P^T A P = F F^T by ``_pivoted_cholesky``, which reads
+    only the upper triangle of A (diagonal included); r is its numerical
+    rank.  At full rank the solve is two triangular solves on F where LAPACK
+    wrote it.  Below full rank the m x r factor F goes through a thin QR,
+    F = Q R, run in place on the factor, and the result is
+    Q (R R^T)^-1 Q^T b: the minimum-norm solution of the truncated system,
+    so weight on duplicate rows is split evenly.  An all-zero A yields the
+    zero vector (minimum-norm convention), not an error.
 
     As in scipy, ``overwrite_a=True`` lets the factorization overwrite A: a
     C-contiguous, writeable float64 A is then factored in place, with no
@@ -116,8 +105,9 @@ def pinv_apply(A, b, overwrite_a: bool = False) -> np.ndarray:
         z = solve_triangular(F, y, lower=True, check_finite=False)
         out[perm] = solve_triangular(F, z, lower=True, trans="T", check_finite=False)
         return out
-    # tril(F) as a Fortran-ordered copy, which the QR then overwrites in place
-    Q, R = qr(np.triu(F.T).T, mode="economic", overwrite_a=True, check_finite=False)
+    for j in range(1, rank):  # above F's diagonal sit entries of A; the QR must see tril(F)
+        F[:j, j] = 0.0
+    Q, R = qr(F, mode="economic", overwrite_a=True, check_finite=False)
     t = solve_triangular(R, matvec(Q.T, y), lower=False, check_finite=False)
     out[perm] = matvec(Q, solve_triangular(R, t, lower=False, trans="T", check_finite=False))
     return out

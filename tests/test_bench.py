@@ -450,6 +450,18 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader):
         reader(bad)
 
 
+@pytest.mark.parametrize("reader, text", [
+    (load_csv, "x_1,x_2\n1.5,inf\n"),
+    (load_rule, "index,x_1,weight\n0,inf,0.5\n"),
+    (load_rule, "index,x_1,weight\n0,1.5,nan\n"),
+], ids=["csv-inf", "rule-node-inf", "rule-weight-nan"])
+def test_readers_refuse_non_finite_values(tmp_path, reader, text):
+    path = tmp_path / "inf.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}: non-finite values")):
+        reader(path)
+
+
 # each reader with its header, one data row, and that row as plain values
 _CSV_READERS = {
     "load_csv": (load_csv, "x_1,x_2", ["1.5", "-2"], lambda ds: ds.points.tolist()),

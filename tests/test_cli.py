@@ -147,9 +147,15 @@ def test_bad_method_exit_code(data_csv, tmp_path, capsys):
     _refused(cli.main(_compress(path, tmp_path / "r.csv", method="dpp")), capsys, ".*dpp")
 
 
-def test_usage_error_exit_code():
-    assert cli.main(["frobnicate"]) == 1
-    assert cli.main(["compress", "--input", "x.csv"]) == 1
+def test_usage_error_exit_code(tmp_path, capsys):
+    _refused(cli.main(["frobnicate"]), capsys, " argument command: invalid choice: 'frobnicate'")
+    _refused(cli.main(["compress", "--input", "x.csv"]), capsys,
+             " the following arguments are required: --kernel")
+    _refused(cli.main(_compress("x.csv", tmp_path / "r.csv", m="abc")), capsys,
+             " argument --m: invalid int value: 'abc'")
+    with pytest.raises(SystemExit) as exc:  # --help is no error
+        cli.main(["compress", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: kquad compress")
 
 
 def test_numerical_error_exit_code(monkeypatch, tmp_path, capsys):

@@ -121,8 +121,8 @@ def test_pinv_recovers_row_space_component(seed, n, rank_frac, log_scale):
 
 @pytest.mark.parametrize("size, rank", [(128, 128), (130, 130), (200, 100), (300, 64)])
 def test_pivoted_cholesky_factors_in_place(size, rank):
-    """The factor is a view of S whose lower trapezoid has the bits of
-    dpstrf's factor, at full rank and below it."""
+    """The factor is the Fortran-contiguous view S.T[:, :r], whose lower
+    trapezoid has the bits of dpstrf's factor, at full rank and below it."""
     rng = np.random.default_rng(size)
     A = rng.standard_normal((size, rank))
     S = A @ A.T
@@ -130,8 +130,8 @@ def test_pivoted_cholesky_factors_in_place(size, rank):
     c, piv, r, info = dpstrf(S.copy().T, tol=tol, lower=1, overwrite_a=1)
     assert info >= 0 and r == rank
     F, perm = _pivoted_cholesky(S)
-    assert np.shares_memory(F, S)
-    assert F.shape == (size, rank)
+    assert F.flags.f_contiguous and F.shape == (size, rank)
+    assert F.strides == S.T.strides and F.ctypes.data == S.ctypes.data  # a view of S.T
     assert np.array_equal(np.tril(F), np.tril(c[:, :r]))
     assert np.array_equal(perm, piv - 1)
 
@@ -184,10 +184,17 @@ def test_pinv_apply_in_place_makes_no_m_by_m_array():
     assert _peak_bytes(pinv_apply, K, np.ones(1024), True) < K.nbytes // 8
 
 
-def test_pivoted_cholesky_mirrors_through_a_block_sized_buffer():
-    # the mirror copies a 64 x 64 block at a time, not a 64 x m slab
+def test_pivoted_cholesky_allocates_only_the_lapack_work_array():
+    # dpstrf's 2m-double work array and the pivots: no copy of any part of F
     A = np.random.default_rng(0).standard_normal((1024, 1024))
-    assert _peak_bytes(_pivoted_cholesky, A @ A.T) < 128 * 1024
+    assert _peak_bytes(_pivoted_cholesky, A @ A.T) < 24 * 1024
+
+
+def test_pinv_apply_below_full_rank_holds_under_half_a_gram():
+    # the QR overwrites the factor in place; what is left is its r x r R
+    A = np.random.default_rng(0).standard_normal((1024, 640))
+    K = A @ A.T  # 8 MiB, rank 640
+    assert _peak_bytes(pinv_apply, K, np.ones(1024), True) < K.nbytes // 2
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -504,10 +504,13 @@ def test_discrete_target_on_the_data_takes_one_kernel_mean_pass(monkeypatch):
     assert len(passes) == 2
 
 
-@pytest.mark.parametrize("method, share", [("uniform", 1.25), ("monte-carlo", 0.25)])
+@pytest.mark.parametrize("method, share", [("uniform", 1.25), ("monte-carlo", 0.25),
+                                           ("uniform-wr", 2.0), ("arls", 2.0)])
 def test_a_rule_holds_at_most_one_node_gram(method, share):
     """The node Gram is factored in place, and monte-carlo builds none: its
-    error's w^T K_m w comes from the kernel matvec's walk."""
+    error's w^T K_m w comes from the kernel matvec's walk.  The duplicate
+    nodes of uniform-wr and arls leave the Gram below full rank, and the QR
+    of that solve runs in place on the factor."""
     m = 1024
     X = np.random.default_rng(0).random((2 * m, 1))
     kern = periodic_sobolev(1, 1)
