@@ -19,8 +19,11 @@ their rows are replicated across trial rows with trial = 0.  The shared pilot
 or greedy time is counted in the ``sample_time_s`` of the cell's first
 (smallest) m.
 
-Every kquad file is read and written here, each CSV by one reader that honours
-the csv module's quoting, ``_read_rows``, and one writer, ``_write_rows``.
+Every kquad file is read and written here, each CSV in the csv module's
+dialect and written by one writer, ``_write_rows``.  Rule and summary files
+are split into rows by ``_csv_rows``.  A data file is tokenized by numpy's C
+parser, ``_tokenize``; where numpy refuses a cell, ``_parse_rows`` reads its
+csv rows one by one and names the bad row.
 """
 
 from __future__ import annotations
@@ -153,10 +156,10 @@ def _read_lines(path) -> list:
         raise InputError(f"{path}: not UTF-8 text") from None
 
 
-def _read_rows(path):
-    """Yield (line number, cells) for each CSV row with a non-blank cell; the
-    csv module splits the rows, so a quoted cell may hold a comma."""
-    reader = csv.reader(_read_lines(path))
+def _csv_rows(path, lines):
+    """Yield (line number, cells) for each CSV row of ``lines`` with a non-blank
+    cell; the csv module splits the rows, so a quoted cell may hold a comma."""
+    reader = csv.reader(lines)
     try:
         for row in reader:
             if row and (row[0].strip() or any(map(str.strip, row))):  # the first cell settles most rows
@@ -191,13 +194,13 @@ def _write_rows(path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def load_csv(path) -> Dataset:
-    """Read a numeric CSV into a Dataset.
+def _parse_rows(path, lines) -> np.ndarray:
+    """The points of a numeric CSV's ``lines``, one csv row at a time.
 
     A non-numeric first row is treated as a header and skipped.  Ragged rows
     and non-numeric cells raise with their location.
     """
-    rows = list(_read_rows(path))
+    rows = list(_csv_rows(path, lines))
     if rows:
         try:
             _float_row(path, *rows[0], len(rows[0][1]))
@@ -205,7 +208,52 @@ def load_csv(path) -> Dataset:
             rows = rows[1:]
     if not rows:
         raise InputError(f"{path}: no data rows")
-    points = np.asarray([_float_row(path, i, cells, len(rows[0][1])) for i, cells in rows])
+    return np.asarray([_float_row(path, i, cells, len(rows[0][1])) for i, cells in rows])
+
+
+def _tokenize(path, lines):
+    """The points of a numeric CSV's ``lines`` by numpy's C tokenizer, or None
+    where ``_parse_rows`` must decide.
+
+    The header is the first csv row, as ``_parse_rows`` finds it.  None comes
+    back for an empty body (numpy would warn), for a line longer than the csv
+    module's field size limit or a quoted cell that spans lines (the csv
+    module refuses a cell beyond the limit, numpy does not), and for any cell
+    numpy refuses (``float`` takes some, such as ``1_000``, and
+    ``_parse_rows`` skips all-blank rows).
+    """
+    first = next(_csv_rows(path, lines), None)
+    if first is None:
+        return None
+    try:
+        list(map(float, first[1]))
+        start = 0
+    except ValueError:  # a header
+        start = first[0]
+    body = lines[start:]
+    rows = len(body) - body.count("\n")  # numpy skips empty lines, as the csv module does
+    if rows == 0 or max(map(len, body)) > csv.field_size_limit():
+        return None
+    try:
+        points = np.loadtxt(
+            body, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=np.float64
+        )
+    except ValueError:
+        return None
+    return points if len(points) == rows else None  # else a quoted cell spans lines
+
+
+def load_csv(path) -> Dataset:
+    """Read a numeric CSV into a Dataset.
+
+    A non-numeric first row is treated as a header and skipped.  Ragged rows
+    and non-numeric cells raise with their location.  numpy's tokenizer reads
+    the file; where it refuses a cell, the csv rows decide and name the bad row.
+    """
+    lines = _read_lines(path)
+    points = _tokenize(path, lines)
+    if points is None:
+        points = _parse_rows(path, lines)
     if not np.all(np.isfinite(points)):
         raise InputError(f"{path}: non-finite values")
     return Dataset(points=points)
@@ -225,7 +273,7 @@ def save_rule(rule: QuadratureRule, path) -> None:
 
 def load_rule(path) -> QuadratureRule:
     """Read a rule written by save_rule."""
-    rows = list(_read_rows(path))
+    rows = list(_csv_rows(path, _read_lines(path)))
     if not rows or rows[0][1][0].strip() != "index" or len(rows[0][1]) < 2:
         raise InputError(f"{path}: not a quadrature-rule CSV")
     width = len(rows[0][1])
@@ -421,7 +469,9 @@ def write_summary_csv(summary: list, path) -> None:
 
 
 def read_summary_csv(path) -> list:
-    rows = [(lineno, [c.strip() for c in cells]) for lineno, cells in _read_rows(path)]
+    rows = [
+        (lineno, [c.strip() for c in cells]) for lineno, cells in _csv_rows(path, _read_lines(path))
+    ]
     header = SUMMARY_HEADER.split(",")
     if not rows or rows[0][1] != header:
         raise InputError(f"{path}: not a summary CSV")

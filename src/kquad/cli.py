@@ -81,6 +81,8 @@ def _cmd_run(args) -> int:
 def _cmd_compress(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    if args.m < 1:
+        raise InputError(f"m must be >= 1, got {args.m}")
     bench.check_size("m", args.m, args.allow_large_n)
     _check_output(args.output)
     points = bench.load_csv(args.input).points

@@ -111,12 +111,16 @@ def approx_rls_pilot(
     F, perm = _pivoted_cholesky(gram(kernel, P[pilot_indices]))
     r = F.shape[1]
     landmarks = pilot_indices[perm[:r]]
-    B = solve_triangular(F[:r], gram(kernel, P[landmarks], P), lower=True)  # columns are b_i
+    # K(P, S)^T is K(S, P) bit for bit, by the kernel's exact symmetry, and
+    # Fortran-ordered, so both solves work on their right-hand sides in place.
+    B = solve_triangular(
+        F[:r], gram(kernel, P, P[landmarks]).T, lower=True, check_finite=False, overwrite_b=True
+    )  # columns are b_i
     G = syrk(B)  # B B^T in the lower triangle, which is all the Cholesky reads
     G[np.diag_indices_from(G)] += lam * n
     # b^T G^-1 b = |C^-1 b|^2 with G = C C^T: one triangular solve per column.
     C = cholesky(G, lower=True, overwrite_a=True, check_finite=False)
-    Z = solve_triangular(C, B, lower=True)
+    Z = solve_triangular(C, B, lower=True, check_finite=False, overwrite_b=True)
     values = np.einsum("ij,ij->j", Z, Z)
     return LeverageScores(lam=lam, values=values)
 

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kquad import InputError, bench
 from kquad.bench import (
@@ -104,6 +106,97 @@ def test_load_csv_errors(tmp_path):
     alpha.write_text("1,2\n3,zap\n", encoding="utf-8")
     with pytest.raises(InputError, match=re.escape(f"{alpha}:2: non-numeric cell in column 2")):
         load_csv(alpha)
+
+
+def _outcome(read):
+    """What a reader returns, or the message of the input error it raises."""
+    try:
+        return read()
+    except InputError as exc:
+        return str(exc)
+
+
+def _assert_reads_as_the_row_loop(path):
+    got = _outcome(lambda: load_csv(path).points)
+    want = _outcome(lambda: bench._parse_rows(path, bench._read_lines(path)))
+    if isinstance(want, np.ndarray) and not np.all(np.isfinite(want)):
+        want = f"{path}: non-finite values"
+    if isinstance(want, str):
+        assert got == want
+    else:  # bit for bit: signed zeros and subnormals included
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+# cells that float() and numpy's parser may read differently, or not at all
+_ODD_CELLS = st.builds(
+    str.format,
+    st.sampled_from(['{}', '"{}"', '\t{}\t', ' {} ', '"{}\n"', '"\n{}"', '"{}"5', '{}"', '""{}']),
+    st.sampled_from([
+        "-0.0", "5e-324", "1e500", "-1e500", "1e-400", "nan", "-nan", "inf", "-Infinity", "1_000",
+        "\u0661\u0662", "0x1p3", ".5", "1.", "+2", "1,5", "1#5", "", " ", "x", "\x00", "1\x00", "\u00a03",
+    ]),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    width = draw(st.integers(1, 3))
+    cell = st.one_of(_PLAIN_CELLS, _PLAIN_CELLS, _ODD_CELLS)
+    data_row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    row = st.one_of(
+        data_row,
+        data_row,
+        data_row,
+        st.lists(cell, min_size=1, max_size=width + 1).map(",".join),  # ragged, now and then
+        st.sampled_from(["", ",", " , ", " \t ", "x_1,x_2", "x", '"a,b"']),  # blank or header
+    )
+    text = "\n".join(draw(st.lists(row, max_size=6))) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=_csv_files())
+def test_load_csv_reads_every_file_as_the_row_loop(tmp_path_factory, data):
+    # numpy tokenizes the file; where it refuses a cell the row loop decides,
+    # so the two readers return the same bits or raise the same message
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(data)
+    _assert_reads_as_the_row_loop(path)
+
+
+_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "cell", ["0." + "0" * _LIMIT + "1", '"' + "\n" * _LIMIT + '1.5"'], ids=["one-line", "quoted-newlines"]
+)
+def test_load_csv_refuses_a_cell_beyond_the_field_size_limit(tmp_path, cell):
+    # numpy would read either cell; the csv module refuses it, at its line
+    path = tmp_path / "long.csv"
+    path.write_text(f"x_1,x_2\n1,2\n{cell},3\n", encoding="utf-8")
+    message = _outcome(lambda: load_csv(path))
+    pattern = re.escape(f"{path}:") + r"\d+: field larger than field limit \(\d+\)"
+    assert isinstance(message, str) and re.fullmatch(pattern, message)
+    _assert_reads_as_the_row_loop(path)
+
+
+def test_load_csv_tokenizes_a_plain_file(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a plain numeric file went through the row loop")
+
+    monkeypatch.setattr(bench, "_parse_rows", never)
+    path = tmp_path / "plain.csv"
+    path.write_text('x_1,x_2\n1.5,-0.0\n"2",5e-324\n\n3e2,4\n', encoding="utf-8")
+    points = load_csv(path).points
+    assert points.tolist() == [[1.5, 0.0], [2.0, 5e-324], [300.0, 4.0]]
+    assert np.signbit(points[0, 1])
 
 
 def test_standardize_invariants():

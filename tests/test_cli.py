@@ -215,9 +215,14 @@ def test_compress_large_n_or_m_exit_code(tmp_path, capsys, monkeypatch, rows, m)
 
 
 @pytest.mark.parametrize("m", ["0", "-3"])
-def test_compress_nonpositive_m_exit_code(data_csv, tmp_path, capsys, m):
+def test_compress_nonpositive_m_exit_code(data_csv, tmp_path, capsys, monkeypatch, m):
+    def never(*args, **kwargs):
+        raise AssertionError("called before --m was checked")
+
+    monkeypatch.setattr(bench, "load_csv", never)
     path, _ = data_csv
-    _refused(cli.main(_compress(path, tmp_path / "r.csv", method="monte-carlo", m=m)), capsys, "")
+    code = cli.main(_compress(path, tmp_path / "r.csv", method="monte-carlo", m=m))
+    _refused(code, capsys, re.escape(f" m must be >= 1, got {m}") + "$")
 
 
 def write_run_config(tmp_path, name="exp", **extra):

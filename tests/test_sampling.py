@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from kquad import InputError, NumericalError
 from kquad.bench import gen_synthetic
 from kquad.kernels import gaussian, gram, parse_kernel, periodic_sobolev
-from kquad.numerics import _pivoted_cholesky
+from kquad.numerics import _pivoted_cholesky, syrk
 from kquad.sampling import (
     LeverageScores,
     approx_rls_pilot,
@@ -233,6 +233,33 @@ def test_pilot_scores_match_the_numpy_formula(lam, full_rank):
     scores = approx_rls_pilot(X, kern, lam, pilot_indices=J)
     expected = _numpy_pilot_scores(X, kern, scores.lam, J)
     assert np.max(np.abs(scores.values - expected) / expected) <= 16 * np.finfo(np.float64).eps
+
+
+def _copying_pilot_scores(X, kern, lam, J):
+    """The pilot's scores with the cross Gram built as K(S, X) and both
+    triangular solves on copies of their right-hand sides."""
+    F, perm = _pivoted_cholesky(gram(kern, X[J]))
+    r = F.shape[1]
+    B = solve_triangular(F[:r], gram(kern, X[J[perm[:r]]], X), lower=True)
+    G = syrk(B)
+    G[np.diag_indices_from(G)] += lam * X.shape[0]
+    Z = solve_triangular(cholesky(G, lower=True), B, lower=True)
+    return np.einsum("ij,ij->j", Z, Z)
+
+
+@pytest.mark.parametrize("data, kernel", [
+    ("gaussian_mixture:d=8,k=3,sep=5", "laplacian:sigma=median"),
+    ("gaussian_mixture:d=2,k=3,sep=5", "gaussian:sigma=median"),
+    ("uniform_cube:d=1", "sobolev:s=1,d=1"),
+])
+def test_pilot_scores_keep_the_bits_of_copying_solves(data, kernel):
+    # the transposed K(X, S) holds K(S, X)'s bits, so solving in place moves none
+    X = gen_synthetic(data, 1024, 1).points
+    kern = parse_kernel(kernel, points=X, rng=0)
+    J = uniform_subsample(1024, 128, rng=5)
+    scores = approx_rls_pilot(X, kern, pilot_indices=J)
+    expected = _copying_pilot_scores(X, kern, scores.lam, J)
+    assert scores.values.tobytes() == expected.tobytes()
 
 
 def test_pilot_ignores_duplicate_pilot_rows():
