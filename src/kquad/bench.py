@@ -13,9 +13,9 @@ stream keyed by (master_seed, method, trial), then draws each m's nodes from a
 draw stream keyed by (master_seed, method, m, trial); uniform, uniform-wr and
 monte-carlo draw from the draw stream only.  The streams come from a
 counter-based seed mix, so a row depends only on its own key: not on the other
-cells, nor on the other m of the grid.  Deterministic (greedy) methods run one
-cell, selecting once at the largest m and taking the first m nodes for each m;
-their rows are replicated across trial rows with trial = 0.  The shared pilot
+cells, nor on the other m of the grid.  Deterministic (greedy) methods run only
+the trial-0 cell, selecting once at the largest m and taking the first m nodes
+for each m; its rows are replicated across the trial rows.  The shared pilot
 or greedy time is counted in the ``sample_time_s`` of the cell's first
 (smallest) m.
 
@@ -88,8 +88,8 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     output: str
-    n: int | None = None  # synthetic dataset size
-    data_seed: int | None = None  # None -> derived from master_seed
+    n: int | None = None  # synthetic dataset size; refused for csv
+    data_seed: int | None = None  # None -> derived from master_seed; refused for csv
     standardize: bool = False
     target: str = "data"  # data | unit-cube
     timings: bool = True  # False zeroes the time columns for byte-stable CSVs
@@ -335,9 +335,13 @@ def gen_synthetic(spec: str, n: int, seed: int) -> Dataset:
 def _resolve_dataset(config: ExperimentConfig) -> tuple[np.ndarray, tuple, dict]:
     kind, params = parse_spec(config.dataset, "dataset", _DATASETS)
     if kind == "csv":
+        for key in ("n", "data_seed"):
+            if getattr(config, key) is not None:  # the file's rows are the points
+                raise InputError(f"{key} is not used by a csv dataset")
         if not params.get("path"):
             raise InputError("csv dataset needs path=<file>")
         points = load_csv(params["path"]).points
+        grid, heads = _validate(config, points.shape[0])
     else:
         if config.n is None or config.n < 1:
             raise InputError(f"synthetic datasets need n >= 1, got {config.n}")
@@ -348,10 +352,7 @@ def _resolve_dataset(config: ExperimentConfig) -> tuple[np.ndarray, tuple, dict]
         points = gen_synthetic(config.dataset, config.n, seed).points
     if config.standardize:
         points = standardize_points(points)
-    points = _as_points(points)
-    if kind == "csv":
-        grid, heads = _validate(config, points.shape[0])
-    return points, grid, heads
+    return _as_points(points), grid, heads
 
 
 def _validate(config: ExperimentConfig, n: int) -> tuple[tuple, dict]:
@@ -400,16 +401,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for method in config.methods:
         mid = _METHOD_IDS[heads[method]]
-        for trial in (None,) if heads[method] in GREEDY else range(config.trials):
-            tkey = () if trial is None else (trial,)
+        greedy = heads[method] in GREEDY
+        for trial in range(1 if greedy else config.trials):
             rules = compress_grid(
                 points,
                 kernel,
                 method,
                 grid,
-                derive_rng(config.master_seed, mid, *tkey),  # score stream
+                derive_rng(config.master_seed, mid, trial),  # score stream
                 embedding,
-                draw_rng=lambda m: derive_rng(config.master_seed, mid, m, *tkey),
+                draw_rng=lambda m: derive_rng(config.master_seed, mid, m, trial),
             )
             for m in grid:
                 try:
@@ -417,9 +418,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 except (InputError, NumericalError) as exc:
                     raise type(exc)(f"method={method} m={m} trial={trial}: {exc}") from exc
                 ts, tw = (rule.sample_time_s, rule.weight_time_s) if config.timings else (0.0, 0.0)
-                row = ResultRow(method, m, trial or 0, rule.error, ts, tw, ts + tw)
+                row = ResultRow(method, m, trial, rule.error, ts, tw, ts + tw)
                 # a deterministic method's row is replicated across the trial rows
-                rows += [row] * (config.trials if trial is None else 1)
+                rows += [row] * (config.trials if greedy else 1)
     rows.sort(key=lambda r: (r.method, r.m, r.trial))
     return ExperimentResult(rows=rows)
 

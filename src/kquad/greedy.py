@@ -14,7 +14,10 @@ previous ones (a Newton basis), which updates the residual and the power
 function for all n candidates.  Step k fills one kernel row, O(n), and
 projects it on the k earlier basis vectors with one product over all
 candidates, O(nk); the coefficients are stored candidate-major, so that
-product reads the leading k columns in place.
+product reads the leading k columns in place.  A candidate whose power mass
+is at most ``1e-10 k(x, x)`` lies in the selected span: it is neither picked
+nor updated.  A picked point's own mass rounds to about ``2 eps t k(x, x)``
+after t steps, below that floor for any t up to 2^14, so it stays out too.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ from .errors import InputError
 from .kernels import KernelSpec, _as_points, _fill
 
 VARIANTS = ("f", "P", "f_over_P")
-
-# Candidates whose remaining power mass is below this are treated as already
-# inside the selected span; updating or selecting them is unstable.
-_STABILITY_FLOOR = 1e-10
 
 
 @dataclass
@@ -58,8 +57,8 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
     Identical data rows need not give bit-equal power values after the BLAS
     products, so a higher-index twin can be picked before its lower-index
     one.  If every candidate falls inside the selected span (power mass
-    <= 1e-10) before m picks, the state holds the shorter selection, and
-    ``len(state.selected) < m``.
+    <= 1e-10 k(x, x)) before m picks, the state holds the shorter selection,
+    and ``len(state.selected) < m``.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown greedy variant {variant!r}; expected one of {VARIANTS}")
@@ -79,31 +78,29 @@ def greedy_select(X, kernel: KernelSpec, f_at_X, m: int, variant: str) -> Greedy
     e = math.frexp(float(np.max(np.abs(f))))[1]
     coeffs = np.zeros((n, m))  # coeffs[i, k] = <u_k, phi(x_i)>
     powfun2 = np.full(n, kernel.diag)
+    floor = 1e-10 * kernel.diag  # power mass at or below it: inside the selected span
     residual = np.ldexp(f, -e)
     f_coeffs = np.zeros(m)
     selected: list[int] = []
-    in_span = np.zeros(n, dtype=bool)
     row = np.empty(n)
 
     for k in range(m):
-        feasible = (~in_span) & (powfun2 > _STABILITY_FLOOR)
+        feasible = powfun2 > floor
         if not feasible.any():
             break
         if variant == "P":
-            crit = powfun2.copy()
+            crit = powfun2
         elif variant == "f":
             crit = np.abs(residual)
         else:
-            crit = residual**2 / np.maximum(powfun2, _STABILITY_FLOOR)
-        crit[~feasible] = -np.inf
-        j = int(np.argmax(crit))  # first max -> lowest index on bit-equal ties
+            crit = residual**2 / np.maximum(powfun2, floor)
+        j = int(np.argmax(np.where(feasible, crit, -np.inf)))  # first max: lowest index on ties
         selected.append(j)
-        in_span[j] = True
 
         root = np.sqrt(powfun2[j])
         _fill(kernel, P[j : j + 1], P, row[None, :])
         c = row - coeffs[:, :k] @ coeffs[j, :k]
-        c[powfun2 <= _STABILITY_FLOOR] = 0.0  # already in the span: no update
+        c[~feasible] = 0.0  # already in the span: no update
         c /= root
         coeffs[:, k] = c
         f_coeffs[k] = residual[j] / root

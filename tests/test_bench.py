@@ -255,6 +255,15 @@ def test_gen_mixture_clusters_recoverable():
     assert purity >= 0.99
 
 
+def test_mixture_centers_beyond_the_axes_lie_at_growing_radius():
+    # k > 2d: the 2d signed axes at radius sep, then random directions at
+    # sep * (1 + (j - 2d + 1) / 2d) for the j-th centre
+    centers = bench._mixture_centers(1, 4, 5.0, np.random.default_rng(0))
+    assert centers.shape == (4, 1)
+    assert centers[:2, 0].tolist() == [5.0, -5.0]
+    assert np.allclose(np.linalg.norm(centers, axis=1), [5.0, 5.0, 7.5, 10.0], rtol=0, atol=1e-12)
+
+
 def test_gen_mixture_needs_k_at_most_n():
     # a huge k is refused before any of its centres is drawn
     message = "gaussian_mixture needs k <= n, got k = 100000000000, n = 300"
@@ -553,6 +562,17 @@ def test_readers_refuse_non_finite_values(tmp_path, reader, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match=re.escape(f"{path}: non-finite values")):
         reader(path)
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("x_1,weight\n0.5,1.0\n", ": not a quadrature-rule CSV"),
+    ("index,x_1,weight\n1.5,0.5,1.0\n", ":2: non-integer index in column 1"),
+], ids=["header", "index"])
+def test_load_rule_refuses_a_file_it_did_not_write(tmp_path, text, problem):
+    path = tmp_path / "rule.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}{problem}") + "$"):
+        load_rule(path)
 
 
 # each reader with its header, one data row, and that row as plain values

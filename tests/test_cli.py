@@ -238,9 +238,52 @@ def write_run_config(tmp_path, name="exp", **extra):
         "target": "unit-cube",
         "output": str(tmp_path / "res.csv"),
     }
-    lines.update(extra)
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
+    lines.update(extra)  # a key given as None is left out
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items() if v is not None)
+    cfg.write_text(text, encoding="utf-8")
     return cfg
+
+
+def test_run_on_a_csv_dataset_matches_the_synthetic_run(tmp_path, capsys):
+    # the file holds the points that the synthetic config draws, in repr floats
+    spec = "gaussian_mixture:d=2,k=3,sep=5"
+    data = tmp_path / "mix.csv"
+    points = bench.gen_synthetic(spec, 300, 11).points
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in points.tolist()), encoding="utf-8")
+    common = dict(kernel="gaussian:sigma=median", methods="uniform, arls, fp-greedy",
+                  m_grid="8, 16, 32", target="data", standardize="true", timings="off")
+    synthetic = write_run_config(tmp_path, "synth", dataset=spec, data_seed="11", n="300",
+                                 output=str(tmp_path / "synth.csv"), **common)
+    from_file = write_run_config(tmp_path, "file", dataset=f"csv:path={data}", n=None,
+                                 output=str(tmp_path / "file.csv"), **common)
+    assert cli.main(["run", str(synthetic)]) == 0 and cli.main(["run", str(from_file)]) == 0
+    capsys.readouterr()
+    for name in ("{}.csv", "{}_summary.csv"):
+        got = (tmp_path / name.format("file")).read_bytes()
+        assert got == (tmp_path / name.format("synth")).read_bytes()
+        assert len(got.splitlines()) > 3
+
+
+@pytest.mark.parametrize(
+    "dataset, extra, message",
+    [
+        ("csv:path={csv}", {"n": "60"}, "n is not used by a csv dataset"),
+        ("csv:path={csv}", {"n": None, "data_seed": "3"}, "data_seed is not used by a csv dataset"),
+        ("csv:path={csv}", {"n": None, "m_grid": "8, 61"}, "largest m 61 exceeds dataset size 60"),
+        ("csv:path=", {"n": None}, "csv dataset needs path=<file>"),
+    ],
+    ids=["n", "data_seed", "m-above-rows", "empty-path"],
+)
+def test_run_csv_dataset_refusals(data_csv, tmp_path, capsys, dataset, extra, message):
+    path, _ = data_csv
+    cfg = write_run_config(tmp_path, dataset=dataset.format(csv=path), kernel="gaussian:sigma=1",
+                           target="data", **extra)
+    _refused(cli.main(["run", str(cfg)]), capsys, " " + re.escape(message) + "$")
+
+
+def test_run_without_methods_exit_code(tmp_path, capsys):
+    _refused(cli.main(["run", str(write_run_config(tmp_path, methods=""))]), capsys,
+             " need at least one method$")
 
 
 def test_run_zero_in_m_grid_exit_code(tmp_path, capsys):
@@ -370,6 +413,12 @@ def test_rates_on_a_run_with_a_comma_bearing_method(tmp_path, capsys):
                      "--model", "uniform-exp"]) == 0
     out = capsys.readouterr().out
     assert f"{spec}: fitted slope" in out and "uniform: fitted slope" in out
+
+
+def test_rates_refuses_a_data_csv(data_csv, capsys):
+    path, _ = data_csv
+    argv = ["rates", "--summary", str(path), "--model", "uniform-exp"]
+    _refused(cli.main(argv), capsys, " " + re.escape(f"{path}: not a summary CSV") + "$")
 
 
 def _rates_summary(tmp_path):

@@ -149,6 +149,18 @@ def test_truncation_on_duplicates():
     assert len(state.selected) == 3
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_span_floor_scales_with_the_kernel_diagonal(variant):
+    # k(x, x) is about 3.9e7 here, so an absolute floor sits below the
+    # rounding of a selected point's own power mass and lets it be picked again
+    base = np.random.default_rng(17).random((40, 12))
+    X = np.vstack([base, base])
+    f = np.random.default_rng(18).standard_normal(80)
+    state = greedy_select(X, periodic_sobolev(1, 12), f, 80, variant)
+    assert len(state.selected) == 40
+    assert sorted((state.selected % 40).tolist()) == list(range(40))
+
+
 def test_in_span_candidates_get_exact_zero_coefficients():
     base = np.random.default_rng(15).random((6, 2))
     X = np.vstack([base, base[::-1], base[:3]])  # 15 rows, 6 distinct
@@ -161,7 +173,7 @@ def test_in_span_candidates_get_exact_zero_coefficients():
         assert len(set(state.selected.tolist())) == t
         assert state.coeffs.shape == (t, 15)
         for k in range(1, t):
-            in_span = greedy_select(X, kern, f, k, variant).powfun2 <= 1e-10
+            in_span = greedy_select(X, kern, f, k, variant).powfun2 <= 1e-10 * kern.diag
             assert np.all(state.coeffs[k, in_span] == 0.0)
             checked += int(in_span.sum())
     assert checked > 0
